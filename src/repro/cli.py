@@ -23,9 +23,6 @@ times.  Backslash commands inspect the system:
 ``\\cache``         query-cache status (``clear`` drops every entry,
                    ``on``/``off`` toggle caching for this session)
 ``\\obs on|off``    enable/disable observability (tracing + metrics)
-``\\parallel [N]``  show or set the parallel worker count for this
-                   session (``off`` plans serially, ``default``
-                   restores the ``REPRO_PARALLEL``/core-count default)
 ``\\metrics``       dump recorded metrics (``prom`` for Prometheus
                    text format, ``reset`` to clear)
 ``\\trace [N]``     show the last N tracing spans (``clear``, or
@@ -203,8 +200,6 @@ class Shell:
             return self._cache_command(argument)
         if command == "obs":
             return self._obs_command(argument)
-        if command == "parallel":
-            return self._parallel_command(argument)
         if command == "metrics":
             return self._metrics_command(argument)
         if command == "trace":
@@ -412,37 +407,6 @@ class Shell:
                 for reason, count in sorted(invalidations.items())))
         if counters.get("evictions"):
             self.write(f"  evictions: {counters['evictions']}")
-        return True
-
-    def _parallel_command(self, argument: str) -> bool:
-        from repro.plan import parallel
-        argument = argument.strip().lower()
-        if argument in ("", "status"):
-            count = parallel.workers()
-            source = ("session override" if parallel.FORCED is not None
-                      else "environment/default")
-            self.write(f"parallel workers: {count} ({source}; "
-                       + ("serial planning)" if count <= 1
-                          else "exchange operators may engage)"))
-            return True
-        if argument == "default":
-            parallel.set_workers(None)
-            self.write(f"parallel workers restored to default "
-                       f"({parallel.workers()})")
-            return True
-        if argument in ("off", "0", "1"):
-            parallel.set_workers(1)
-            self.write("parallel planning off (serial plans)")
-            return True
-        try:
-            count = int(argument)
-        except ValueError:
-            count = 0
-        if count <= 0:
-            self.write("usage: \\parallel [status|N|off|default]")
-            return True
-        parallel.set_workers(count)
-        self.write(f"parallel workers set to {count}")
         return True
 
     # -- observability commands ---------------------------------------------

@@ -42,13 +42,6 @@ def render_plan(plan: Plan, include_actual: bool = False,
         if include_timing and node.actual_time_s is not None:
             counts += f", time {_format_time(node.actual_time_s)}"
         lines.append(f"{'  ' * depth}{node.label()}  ({counts})")
-        if include_timing:
-            for stats in getattr(node, "worker_actuals", ()):
-                lines.append(
-                    f"{'  ' * (depth + 1)}worker {stats['worker']}"
-                    f" [{stats['label']}]: {stats['morsels']} morsels,"
-                    f" {stats['rows']} rows,"
-                    f" time {_format_time(stats['time_s'])}")
         for child in node.children():
             walk(child, depth + 1)
 

@@ -1,437 +1,16 @@
-"""Parallel morsel execution: a shared worker pool, order-preserving
-merge exchange, and hash scatter partitioning.
+"""Worker count of plan execution.
 
-The streaming protocol of :mod:`repro.plan.plans` already moves rows
-batch-at-a-time; this module lets *several* workers drive one pipeline
-at once without changing a single observable semantic:
-
-* a :class:`MorselCursor` hands out morsel sequence numbers -- workers
-  claim the next unclaimed morsel, so a slow morsel never stalls the
-  others (classic morsel-driven scheduling, not static range
-  assignment);
-* a :class:`MergeExchange` re-assembles per-morsel results *in
-  sequence order* with a bounded reorder buffer, so downstream
-  consumers see exactly the serial row order and peak intermediate
-  state stays O(dop x morsel);
-* a :class:`ScatterExchange` routes build rows to hash partitions so a
-  partitioned join builds its buckets partition-parallel;
-* :func:`run_ordered` wires the three together over the process-wide
-  :class:`WorkerPool` and is the one entry point plan nodes use.
-
-Cancellation is cooperative and prompt: closing the consumer generator
-(early termination, server drain) sets the stream's cancel event, and
-workers re-check it before claiming each morsel, so a cancelled
-pipeline stops at the next morsel boundary.  The per-statement
-execution deadline (PR 8) is *thread state* in
-:mod:`repro.plan.plans`; callers capture the armed instant on the
-session thread and pass it in, and every worker checks it per morsel
--- a timed-out statement cancels its whole worker fan-out, not just
-the session thread's half (see ``test_parallel_deadline_*``).
-
-Degree of parallelism is *planner-chosen*: :func:`choose_dop` weighs
-the pipeline's estimated rows from the stats catalog against a
-calibrated per-worker startup cost, so small pipelines keep today's
-serial plan byte-for-byte (DOP=1 inserts no exchange at all).  The
-pool itself is sized by the ``REPRO_PARALLEL`` knob: a worker count,
-``off`` for strictly serial plans, default = the machine's cores
-(capped); unrecognized spellings fall back loudly, one warning per
-distinct bad value, mirroring ``REPRO_COLUMNAR``.
-
-Why threads win despite the GIL: the columnar predicate kernels
-(:mod:`repro.relational.kernels`) do their row-crunching in numpy,
-which releases the GIL for the duration of each array operation, so
-disjoint morsel ranges genuinely overlap on separate cores; the
-pure-Python kernel path still interleaves usefully on I/O-ish plans
-and stays exactly correct, it just does not scale CPU-bound work.
+Every plan runs serially on the calling thread; :func:`workers` reports
+that count for the server's ``status`` payload and for the benchmark
+report in ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from time import monotonic
-from typing import Any, Callable, Iterator
-
-from repro import obs
-from repro.errors import StatementTimeout
-
-#: Rows one worker should amortize its startup cost over before a
-#: second worker pays off (pool handoff + merge bookkeeping, calibrated
-#: against the columnar kernels' per-row cost).  The planner grants one
-#: degree of parallelism per this many estimated rows.
-ROWS_PER_WORKER = 8192
-
-#: Rows per claimed morsel.  Independent of the consumer's batch size:
-#: output is re-chunked downstream, so this only balances scheduling
-#: granularity (steal-ability) against per-morsel overhead.
-MORSEL_ROWS = 4096
-
-#: Hard cap on the default worker count when ``REPRO_PARALLEL`` is
-#: unset (a 96-core box should not fan every scan out 96 ways).
-MAX_DEFAULT_WORKERS = 8
-
-#: Reorder-buffer bound, in morsels per degree of parallelism: workers
-#: stall (cancellation-aware) once they run this far ahead of the
-#: consumer, keeping intermediates O(dop x morsel).
-PENDING_PER_WORKER = 2
-
-#: Spellings of ``REPRO_PARALLEL`` that force strictly serial plans.
-_OFF_VALUES = frozenset({"off", "0", "false", "no", "1"})
-#: Spellings that mean "the default worker count".
-_ON_VALUES = frozenset({"", "on", "true", "yes"})
-
-#: Session/test override: an int wins over the environment, ``None``
-#: defers to ``REPRO_PARALLEL``.  The differential harness pins worker
-#: counts per engine configuration through this.
-FORCED: int | None = None
-
-#: Bad ``REPRO_PARALLEL`` spellings already warned about (warn once per
-#: distinct value, not once per query).
-_warned_values: set[str] = set()
-
-
-def _default_workers() -> int:
-    return max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
-
 
 def workers() -> int:
-    """The configured worker count (>= 1; 1 means serial planning).
-
-    :data:`FORCED` when set, otherwise ``REPRO_PARALLEL``: an integer
-    worker count, ``off``/``0``/``1`` for serial, unset/``on`` for the
-    core-count default.  Unrecognized values warn once per distinct
-    spelling and keep the default, like ``REPRO_COLUMNAR``.
-    """
-    if FORCED is not None:
-        return max(1, FORCED)
-    raw = os.environ.get("REPRO_PARALLEL", "")
-    value = raw.strip().lower()
-    if value in _OFF_VALUES:
-        return 1
-    if value in _ON_VALUES:
-        return _default_workers()
-    try:
-        count = int(value)
-    except ValueError:
-        count = None
-    if count is None or count <= 0:
-        if raw not in _warned_values:
-            import warnings
-            _warned_values.add(raw)
-            warnings.warn(
-                f"REPRO_PARALLEL={raw!r} is not a worker count or "
-                f"on/off; keeping the default of "
-                f"{_default_workers()} workers", stacklevel=2)
-        return _default_workers()
-    return count
+    """The number of threads one statement executes on: always 1."""
+    return 1
 
 
-def set_workers(count: int | None) -> None:
-    """Set (or clear, with ``None``) the :data:`FORCED` worker count."""
-    global FORCED
-    FORCED = count
-
-
-def enabled() -> bool:
-    """Whether parallel planning is on at all (more than one worker)."""
-    return workers() > 1
-
-
-def choose_dop(estimated_rows: float) -> int:
-    """Planner-chosen degree of parallelism for a pipeline expected to
-    stream *estimated_rows* rows: one degree per
-    :data:`ROWS_PER_WORKER` estimated rows, capped by the configured
-    worker count.  Anything under two workers' worth of rows plans
-    serial -- DOP=1 means the planner inserts no exchange node and the
-    plan is today's serial plan, byte for byte."""
-    limit = workers()
-    if limit <= 1 or estimated_rows < 2 * ROWS_PER_WORKER:
-        return 1
-    return max(1, min(limit, int(estimated_rows // ROWS_PER_WORKER)))
-
-
-# -- the shared worker pool --------------------------------------------------
-
-
-class WorkerPool:
-    """A lazily grown pool of daemon threads draining one task queue.
-
-    Tasks are plain callables (worker pipeline loops); they never block
-    on each other, only on their own stream's reorder buffer, which its
-    consumer is by construction draining -- so the pool needs no
-    shutdown protocol and daemon threads cannot wedge interpreter exit.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._tasks: "list[Callable[[], None]]" = []
-        self._available = threading.Condition(self._lock)
-        self._threads: list[threading.Thread] = []
-        self._idle = 0
-
-    def ensure(self, count: int) -> None:
-        """Grow the pool to at least *count* threads."""
-        with self._lock:
-            while len(self._threads) < count:
-                thread = threading.Thread(
-                    target=self._run,
-                    name=f"repro-worker-{len(self._threads)}",
-                    daemon=True)
-                # Workers never re-enter the pool: run_ordered() checks
-                # this marker and runs inline instead, so a nested
-                # pipeline can never deadlock waiting on its own slot.
-                thread._repro_pool_worker = True  # type: ignore[attr-defined]
-                self._threads.append(thread)
-                thread.start()
-
-    def submit(self, task: Callable[[], None]) -> None:
-        with self._available:
-            self._tasks.append(task)
-            self._available.notify()
-
-    @property
-    def size(self) -> int:
-        with self._lock:
-            return len(self._threads)
-
-    def _run(self) -> None:
-        while True:
-            with self._available:
-                while not self._tasks:
-                    self._available.wait()
-                task = self._tasks.pop(0)
-            try:
-                task()
-            except BaseException:  # pragma: no cover - tasks catch their own
-                pass
-
-
-_pool: WorkerPool | None = None
-_pool_lock = threading.Lock()
-
-
-def shared_pool() -> WorkerPool:
-    """The process-wide worker pool (created on first use)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = WorkerPool()
-        return _pool
-
-
-def on_worker_thread() -> bool:
-    """Whether the calling thread is a pool worker (nested parallel
-    stages run inline instead of re-entering the pool)."""
-    return getattr(threading.current_thread(), "_repro_pool_worker", False)
-
-
-# -- exchanges ---------------------------------------------------------------
-
-
-class MorselCursor:
-    """Thread-safe claim of the next morsel sequence number."""
-
-    __slots__ = ("_lock", "_next", "total")
-
-    def __init__(self, total: int) -> None:
-        self._lock = threading.Lock()
-        self._next = 0
-        self.total = total
-
-    def claim(self) -> int | None:
-        """The next unclaimed sequence number, or ``None`` when every
-        morsel has been handed out."""
-        with self._lock:
-            if self._next >= self.total:
-                return None
-            seq = self._next
-            self._next += 1
-            return seq
-
-
-class MergeExchange:
-    """Order-preserving merge of per-morsel results.
-
-    Workers :meth:`put` results keyed by sequence number; the consumer
-    iterates them back in strictly ascending sequence order.  The
-    reorder buffer is bounded: a worker that runs too far ahead of the
-    consumer waits (waking on consumption *and* on cancellation), so
-    intermediates stay O(bound) morsels regardless of skew.
-    """
-
-    def __init__(self, total: int, max_pending: int) -> None:
-        self.total = total
-        self.max_pending = max(2, max_pending)
-        self.cancelled = threading.Event()
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._results: dict[int, tuple[bool, Any]] = {}
-        self._emitted = 0
-
-    def put(self, seq: int, ok: bool, value: Any) -> None:
-        """Record morsel *seq*'s outcome (result or exception)."""
-        with self._ready:
-            while (not self.cancelled.is_set()
-                   and seq - self._emitted >= self.max_pending
-                   and seq not in self._results):
-                self._ready.wait(0.05)
-            self._results[seq] = (ok, value)
-            self._ready.notify_all()
-
-    def cancel(self) -> None:
-        """Stop the stream: wake every waiter, let workers drain."""
-        self.cancelled.set()
-        with self._ready:
-            self._ready.notify_all()
-
-    def __iter__(self) -> Iterator[Any]:
-        """Results in sequence order; re-raises a morsel's exception at
-        its ordinal position (exactly where the serial stream would
-        have raised)."""
-        try:
-            for seq in range(self.total):
-                with self._ready:
-                    while seq not in self._results:
-                        self._ready.wait()
-                    ok, value = self._results.pop(seq)
-                    self._emitted = seq + 1
-                    self._ready.notify_all()
-                if not ok:
-                    self.cancel()
-                    raise value
-                yield value
-        finally:
-            self.cancel()
-
-
-class ScatterExchange:
-    """Hash (or round-robin) routing of rows to partitions.
-
-    The partitioned hash join scatters build-side rows through this so
-    each partition's buckets can be built by its own worker; probes
-    route through the same function, so a key always meets the one
-    partition that could hold it.
-    """
-
-    __slots__ = ("partitions",)
-
-    def __init__(self, partitions: int) -> None:
-        self.partitions = max(1, partitions)
-
-    def route(self, key: Any) -> int:
-        """Partition owning *key* (hash-partitioned)."""
-        return hash(key) % self.partitions
-
-    def route_seq(self, seq: int) -> int:
-        """Partition for sequence *seq* (round-robin, for key-less
-        scatter such as balancing morsels across workers)."""
-        return seq % self.partitions
-
-
-# -- orchestration -----------------------------------------------------------
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and monotonic() > deadline:
-        raise StatementTimeout(
-            "statement cancelled: execution ran past its deadline "
-            "(server statement timeout or request deadline)")
-
-
-def run_ordered(total: int, dop: int, morsel: Callable[[int], Any], *,
-                deadline: float | None = None,
-                label: str = "pipeline",
-                worker_stats: list[dict] | None = None
-                ) -> Iterator[Any]:
-    """Evaluate ``morsel(seq)`` for every ``seq in range(total)`` on
-    *dop* pool workers, yielding results in sequence order.
-
-    The returned generator owns the stream: closing it (early
-    termination) cancels the workers at their next morsel boundary, a
-    worker exception is re-raised at its morsel's ordinal position, and
-    *deadline* (a ``time.monotonic`` instant captured from the session
-    thread's statement deadline) is checked by every worker before
-    every morsel, so statement timeouts cancel the whole fan-out.
-
-    *worker_stats*, when given, receives one dict per worker --
-    ``{"worker": i, "morsels": n, "rows": n, "time_s": t}`` -- where
-    ``rows`` counts ``len()`` of list results; EXPLAIN ANALYZE renders
-    these as per-worker actuals.
-    """
-    if total <= 0:
-        return iter(())
-    dop = max(1, min(dop, total))
-    if dop <= 1 or on_worker_thread():
-        return _run_serial(total, morsel, deadline)
-    return _run_parallel(total, dop, morsel, deadline, label, worker_stats)
-
-
-def _run_serial(total: int, morsel: Callable[[int], Any],
-                deadline: float | None) -> Iterator[Any]:
-    for seq in range(total):
-        _check_deadline(deadline)
-        yield morsel(seq)
-
-
-def _run_parallel(total: int, dop: int, morsel: Callable[[int], Any],
-                  deadline: float | None, label: str,
-                  worker_stats: list[dict] | None) -> Iterator[Any]:
-    cursor = MorselCursor(total)
-    merge = MergeExchange(total, max_pending=PENDING_PER_WORKER * dop)
-    pool = shared_pool()
-    pool.ensure(dop)
-
-    def worker_loop(index: int) -> None:
-        start = monotonic()
-        morsels = rows = 0
-        try:
-            while not merge.cancelled.is_set():
-                seq = cursor.claim()
-                if seq is None:
-                    break
-                try:
-                    _check_deadline(deadline)
-                    result = morsel(seq)
-                except BaseException as error:
-                    merge.put(seq, False, error)
-                    merge.cancelled.set()
-                    break
-                morsels += 1
-                if isinstance(result, list):
-                    rows += len(result)
-                if obs.enabled():
-                    obs.counter(
-                        "plan_parallel_morsels",
-                        "morsels executed by parallel workers",
-                        node=label).inc()
-                merge.put(seq, True, result)
-        finally:
-            end = monotonic()
-            if worker_stats is not None:
-                worker_stats.append({"worker": index, "label": label,
-                                     "morsels": morsels, "rows": rows,
-                                     "time_s": end - start})
-            obs.record_span("plan.worker", start, end, label=label,
-                            worker=index, morsels=morsels, rows=rows)
-
-    for index in range(dop):
-        pool.submit(lambda index=index: worker_loop(index))
-    return iter(merge)
-
-
-__all__ = [
-    "MAX_DEFAULT_WORKERS",
-    "MORSEL_ROWS",
-    "MergeExchange",
-    "MorselCursor",
-    "ROWS_PER_WORKER",
-    "ScatterExchange",
-    "WorkerPool",
-    "choose_dop",
-    "enabled",
-    "on_worker_thread",
-    "run_ordered",
-    "set_workers",
-    "shared_pool",
-    "workers",
-]
+__all__ = ["workers"]

@@ -30,11 +30,10 @@ from repro.rules.clause import Interval
 from repro.rules.ruleset import RuleSet
 from repro.sql import ast
 from repro.sql.executor import Scope, classify_conjuncts
-from repro.plan import parallel, semantic
+from repro.plan import semantic
 from repro.plan.plans import (
-    EmptyPlan, FilterPlan, HashJoinPlan, IndexScanPlan, MergeExchangePlan,
-    ParallelHashJoinPlan, Plan, ProductPlan, ProjectPlan, TableScanPlan,
-    INDEX_FRACTION_THRESHOLD, _scan_filter_chain,
+    EmptyPlan, FilterPlan, HashJoinPlan, IndexScanPlan, Plan, ProductPlan,
+    ProjectPlan, TableScanPlan, INDEX_FRACTION_THRESHOLD,
 )
 from repro.plan.stats import DEFAULT_SELECTIVITY, statistics
 
@@ -112,66 +111,9 @@ def plan_select(database: Database, statement: ast.SelectStmt,
         if residual:
             joined = FilterPlan(joined, residual,
                                 DEFAULT_SELECTIVITY ** len(residual))
-        joined = _parallelize(joined)
         root = ProjectPlan(scope, statement, joined, result_name)
-        root.dop = getattr(joined, "dop", 1)
         span.set(notes=len(notes))
         return PlannedQuery(scope, statement, root, notes)
-
-
-# -- parallelism -----------------------------------------------------------
-
-
-def _parallelize(plan: Plan) -> Plan:
-    """Insert exchange operators where the stats catalog's row estimate
-    pays for worker startup (:func:`repro.plan.parallel.choose_dop`).
-
-    A DOP of 1 -- small pipelines, or ``REPRO_PARALLEL`` off/1 --
-    returns the serial plan unchanged, node for node: parallelism is
-    strictly opt-in per pipeline, never a plan-shape change for cheap
-    queries.  Exchange nodes re-clamp their degree against the current
-    worker setting at execution time, so a cached parallel plan
-    degrades gracefully when the knob is lowered later.
-    """
-    if not parallel.enabled():
-        return plan
-    return _parallel_convert(plan, top=True)
-
-
-def _parallel_convert(plan: Plan, top: bool) -> Plan:
-    if isinstance(plan, HashJoinPlan):
-        left = _parallel_convert(plan.left, top=False)
-        right = _parallel_convert(plan.right, top=False)
-        dop = parallel.choose_dop(max(plan.left.records_output(),
-                                      plan.right.records_output()))
-        if dop > 1:
-            return ParallelHashJoinPlan(left, right, plan.edges, dop)
-        if left is plan.left and right is plan.right:
-            return plan
-        return HashJoinPlan(left, right, plan.edges)
-    if isinstance(plan, ProductPlan):
-        left = _parallel_convert(plan.left, top=False)
-        right = _parallel_convert(plan.right, top=False)
-        if left is plan.left and right is plan.right:
-            return plan
-        return ProductPlan(left, right)
-    chain = _scan_filter_chain(plan)
-    if chain is not None:
-        # A scan(+filter) chain parallelizes only at the top of its
-        # pipeline: below a join, the join's own fused morsel paths
-        # consume the chain columnar-side.
-        if not top:
-            return plan
-        scan, _filters = chain
-        dop = parallel.choose_dop(scan.records_output())
-        if dop > 1:
-            return MergeExchangePlan(plan, dop)
-        return plan
-    if isinstance(plan, FilterPlan):  # residual filter over a join
-        child = _parallel_convert(plan.child, top=False)
-        if child is not plan.child:
-            return FilterPlan(child, plan.predicates, plan.selectivity)
-    return plan
 
 
 # -- access paths ----------------------------------------------------------

@@ -47,7 +47,6 @@ import time
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import obs
-from repro.plan import parallel
 from repro.relational import columnar, compiled, kernels
 from repro.relational.relation import Relation
 from repro.rules.clause import Interval
@@ -523,151 +522,6 @@ class FilterPlan(Plan):
                 + " and ".join(p.render() for p in self.predicates) + "]")
 
 
-class MergeExchangePlan(Plan):
-    """Order-preserving parallel execution of a scan(+filter) pipeline.
-
-    Workers claim :data:`~repro.plan.parallel.MORSEL_ROWS`-row ranges
-    from a shared cursor and evaluate the fused columnar kernels over
-    their disjoint slices (the numpy path releases the GIL, so ranges
-    genuinely overlap on cores); a
-    :class:`~repro.plan.parallel.MergeExchange` re-assembles morsel
-    outputs in sequence order, so consumers observe *exactly* the
-    serial row order, early termination (generator close) cancels the
-    fan-out at the next morsel boundary, and a worker exception --
-    including a statement timeout -- surfaces at the same ordinal
-    position the serial stream would have raised it.
-
-    The planner only inserts this node when :func:`parallel.choose_dop`
-    grants more than one worker; at execution time the degree is
-    re-clamped against the *current* ``REPRO_PARALLEL`` setting (plans
-    are cached, knobs are not), and a clamp to one worker -- or a chain
-    shape the kernels cannot fuse when columnar is off -- degrades to
-    the child's ordinary serial stream.
-
-    Chain-internal actuals differ from serial execution by design: the
-    scan reports its full snapshot, intermediate filters stay
-    unmeasured (the conjunction is evaluated as one fused mask, never
-    per filter), and this node's own actuals carry the survivor count.
-    """
-
-    def __init__(self, child: Plan, dop: int):
-        super().__init__(child.scope, child.bindings)
-        self.child = child
-        self.dop = dop
-        self.worker_actuals: list[dict] = []
-
-    def records_output(self) -> float:
-        return self.child.records_output()
-
-    def cost(self) -> float:
-        return self.child.cost()
-
-    def distinct_values(self, binding: str, column: str) -> float:
-        return self.child.distinct_values(binding, column)
-
-    def _batches(self, size: int) -> Iterator[list[tuple]]:
-        self.worker_actuals = []
-        dop = min(self.dop, parallel.workers())
-        chain = _scan_filter_chain(self.child)
-        if dop <= 1 or chain is None:
-            yield from self.child.batches(size)
-            return
-        scan, filters = chain
-        deadline = getattr(_statement_deadline, "at", None)
-        stream = None
-        if _columnar_ready():
-            try:
-                stream = self._columnar_morsels(scan, filters, dop,
-                                                deadline)
-            except kernels.UnsupportedKernel:
-                _count_fused("MergeExchangePlan", False)
-        if stream is None:
-            stream = self._row_morsels(scan, filters, dop, deadline)
-        out: list[tuple] = []
-        try:
-            for part in stream:
-                out.extend(part)
-                while len(out) >= size:
-                    yield out[:size]
-                    out = out[size:]
-            if out:
-                yield out
-        finally:
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
-
-    def _columnar_morsels(self, scan: "TableScanPlan",
-                          filters: Sequence["FilterPlan"], dop: int,
-                          deadline: float | None) -> Iterator[list[tuple]]:
-        start = time.perf_counter()
-        store = scan.relation.column_store()
-        rows = store.rows
-        total_rows = len(rows)
-        predicates = [predicate for node in filters
-                      for predicate in node.predicates]
-        binding = [scan.binding]
-        # Pre-flight over an empty range: kernel support is decided by
-        # predicate *shape*, so an unsupported predicate surfaces here,
-        # on the consumer thread, before any worker fans out.
-        kernels.predicate_mask(store, predicates, binding, 0, 0)
-        scan.actual_rows = total_rows
-        scan.actual_time_s = time.perf_counter() - start
-        _count_fused("MergeExchangePlan", True)
-        morsel_rows = parallel.MORSEL_ROWS
-        total = (total_rows + morsel_rows - 1) // morsel_rows
-
-        def morsel(seq: int) -> list[tuple]:
-            lo = seq * morsel_rows
-            hi = min(total_rows, lo + morsel_rows)
-            selection = None
-            if predicates:
-                mask = kernels.predicate_mask(store, predicates, binding,
-                                              lo, hi)
-                selection = kernels.to_selection(mask)
-            if selection is None:
-                return [(row,) for row in rows[lo:hi]]
-            return [(rows[lo + i],) for i in selection]
-
-        return parallel.run_ordered(total, dop, morsel, deadline=deadline,
-                                    label="MergeExchange",
-                                    worker_stats=self.worker_actuals)
-
-    def _row_morsels(self, scan: "TableScanPlan",
-                     filters: Sequence["FilterPlan"], dop: int,
-                     deadline: float | None) -> Iterator[list[tuple]]:
-        """Morsel stream over the row path (columnar off or predicates
-        outside the kernel subset): workers run the chain's compiled
-        predicates per row, innermost filter first with short-circuit,
-        exactly the serial FilterPlan order."""
-        rows = list(scan.relation.rows)  # stream-start snapshot
-        total_rows = len(rows)
-        scan.actual_rows = total_rows
-        scan.actual_time_s = 0.0
-        tests = [test for node in filters
-                 for test in node._compiled_predicates()]
-        morsel_rows = parallel.MORSEL_ROWS
-        total = (total_rows + morsel_rows - 1) // morsel_rows
-
-        def morsel(seq: int) -> list[tuple]:
-            lo = seq * morsel_rows
-            hi = min(total_rows, lo + morsel_rows)
-            if not tests:
-                return [(row,) for row in rows[lo:hi]]
-            return [(row,) for row in rows[lo:hi]
-                    if all(test((row,)) for test in tests)]
-
-        return parallel.run_ordered(total, dop, morsel, deadline=deadline,
-                                    label="MergeExchange",
-                                    worker_stats=self.worker_actuals)
-
-    def children(self) -> tuple[Plan, ...]:
-        return (self.child,)
-
-    def label(self) -> str:
-        return f"MergeExchange [dop={self.dop}]"
-
-
 class HashJoinPlan(Plan):
     """Equi-join of two plans: hash the right input, probe from the
     left.  ``edges`` are ``(left_binding, left_col, right_binding,
@@ -892,217 +746,6 @@ class HashJoinPlan(Plan):
         return f"HashJoin [{keys}]"
 
 
-class ParallelHashJoinPlan(HashJoinPlan):
-    """Hash join with a partitioned parallel build and an ordered
-    parallel probe.
-
-    Build phase: workers claim morsel ranges of the build (right) side,
-    evaluate the fused filter + NOT NULL key mask over their slice, and
-    scatter surviving row indices to hash partitions
-    (:class:`~repro.plan.parallel.ScatterExchange`); fragments merge in
-    morsel-sequence order per partition, so each partition's index list
-    is globally ascending, and a second fan-out builds each partition's
-    buckets independently -- bucket contents end up in ascending build
-    row order, byte-for-byte what the serial build inserts.
-
-    Probe phase: the probe (left) side runs as ordered morsels when it
-    is itself a kernel-capable chain (each worker masks its range, then
-    probes only the one partition a key can live in), otherwise it
-    streams serially through the partitioned lookup.  Either way output
-    order is exactly the serial join's: probe row order, ascending
-    build order per bucket.
-
-    Falls back to :class:`HashJoinPlan`'s serial execution whenever the
-    effective worker count clamps to one, the join has multiple edges,
-    columnar is off, or a side's predicates fall outside the kernel
-    subset.
-    """
-
-    def __init__(self, left: Plan, right: Plan,
-                 edges: Sequence[tuple[str, str, str, str]], dop: int):
-        super().__init__(left, right, edges)
-        self.dop = dop
-        self.worker_actuals: list[dict] = []
-
-    def _batches(self, size: int) -> Iterator[list[tuple]]:
-        self.worker_actuals = []
-        dop = min(self.dop, parallel.workers())
-        if dop <= 1 or len(self.edges) != 1 or not _columnar_ready():
-            yield from super()._batches(size)
-            return
-        left_keys, right_keys = self._key_positions()
-        build = self._partitioned_build(right_keys, dop)
-        if build is None:
-            yield from super()._batches(size)
-            return
-        scatter, partitions = build
-        if not any(partitions):
-            return  # early termination: the left side is never pulled
-        yield from self._partitioned_probe(scatter, partitions, left_keys,
-                                           size, dop)
-
-    def _partitioned_build(self, right_keys, dop: int):
-        """``(scatter, [buckets per partition])`` built partition-
-        parallel, or ``None`` when the build side is not a
-        kernel-capable chain (callers fall back to the serial join)."""
-        chain = _scan_filter_chain(self.right)
-        if chain is None:
-            return None
-        scan, filters = chain
-        deadline = getattr(_statement_deadline, "at", None)
-        start = time.perf_counter()
-        store = scan.relation.column_store()
-        rows = store.rows
-        total_rows = len(rows)
-        predicates = [predicate for node in filters
-                      for predicate in node.predicates]
-        binding = [scan.binding]
-        position = right_keys[0][1]
-        try:
-            kernels.predicate_mask(store, predicates, binding, 0, 0)
-        except kernels.UnsupportedKernel:
-            _count_fused("ParallelHashJoinPlan", False)
-            return None
-        scan.actual_rows = total_rows
-        scan.actual_time_s = time.perf_counter() - start
-        _count_fused("ParallelHashJoinPlan", True)
-        column = store.values(position)
-        scatter = parallel.ScatterExchange(dop)
-        parts = scatter.partitions
-        morsel_rows = parallel.MORSEL_ROWS
-        total = (total_rows + morsel_rows - 1) // morsel_rows
-
-        def scatter_morsel(seq: int) -> list[list[int]]:
-            lo = seq * morsel_rows
-            hi = min(total_rows, lo + morsel_rows)
-            mask = (kernels.predicate_mask(store, predicates, binding,
-                                           lo, hi)
-                    if predicates else None)
-            notnull = kernels.notnull_mask(store, position, lo, hi)
-            selection = kernels.to_selection(
-                kernels.combine_and(mask, notnull))
-            indices = (range(lo, hi) if selection is None
-                       else [lo + i for i in selection])
-            frags: list[list[int]] = [[] for _ in range(parts)]
-            for i in indices:
-                frags[scatter.route(column[i])].append(i)
-            return frags
-
-        fragments: list[list[int]] = [[] for _ in range(parts)]
-        for frags in parallel.run_ordered(
-                total, dop, scatter_morsel, deadline=deadline,
-                label="ScatterExchange",
-                worker_stats=self.worker_actuals):
-            for part, frag in enumerate(frags):
-                if frag:
-                    fragments[part].extend(frag)
-
-        def build_partition(part: int) -> dict:
-            buckets: dict[Any, list[tuple]] = {}
-            for i in fragments[part]:
-                buckets.setdefault(column[i], []).append((rows[i],))
-            return buckets
-
-        partitions = list(parallel.run_ordered(
-            parts, dop, build_partition, deadline=deadline,
-            label="HashJoinBuild", worker_stats=self.worker_actuals))
-        return scatter, partitions
-
-    def _partitioned_probe(self, scatter, partitions, left_keys,
-                           size: int, dop: int) -> Iterator[list[tuple]]:
-        slot, position = left_keys[0]
-
-        def lookup(key):
-            if key is None:
-                return None
-            return partitions[scatter.route(key)].get(key)
-
-        deadline = getattr(_statement_deadline, "at", None)
-        chain = _scan_filter_chain(self.left)
-        stream = None
-        if chain is not None:
-            stream = self._probe_morsels(chain, position, lookup, dop,
-                                         deadline)
-        if stream is not None:
-            out: list[tuple] = []
-            try:
-                for part in stream:
-                    out.extend(part)
-                    while len(out) >= size:
-                        yield out[:size]
-                        out = out[size:]
-                if out:
-                    yield out
-            finally:
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
-            return
-        out = []
-        for batch in self.left.batches(size):
-            for joined in batch:
-                matches = lookup(joined[slot][position])
-                if not matches:
-                    continue
-                for match in matches:
-                    out.append(joined + match)
-                    if len(out) >= size:
-                        yield out
-                        out = []
-        if out:
-            yield out
-
-    def _probe_morsels(self, chain, position: int, lookup, dop: int,
-                       deadline: float | None):
-        """Ordered morsel stream probing the partitioned build, or
-        ``None`` when the probe chain's predicates fall outside the
-        kernel subset (callers stream the probe side serially)."""
-        scan, filters = chain
-        start = time.perf_counter()
-        store = scan.relation.column_store()
-        rows = store.rows
-        total_rows = len(rows)
-        predicates = [predicate for node in filters
-                      for predicate in node.predicates]
-        binding = [scan.binding]
-        try:
-            kernels.predicate_mask(store, predicates, binding, 0, 0)
-        except kernels.UnsupportedKernel:
-            _count_fused("ParallelHashJoinPlan", False)
-            return None
-        scan.actual_rows = total_rows
-        scan.actual_time_s = time.perf_counter() - start
-        column = store.values(position)
-        morsel_rows = parallel.MORSEL_ROWS
-        total = (total_rows + morsel_rows - 1) // morsel_rows
-
-        def morsel(seq: int) -> list[tuple]:
-            lo = seq * morsel_rows
-            hi = min(total_rows, lo + morsel_rows)
-            selection = None
-            if predicates:
-                mask = kernels.predicate_mask(store, predicates, binding,
-                                              lo, hi)
-                selection = kernels.to_selection(mask)
-            indices = (range(lo, hi) if selection is None
-                       else [lo + i for i in selection])
-            out: list[tuple] = []
-            for i in indices:
-                matches = lookup(column[i])
-                if not matches:
-                    continue
-                base = (rows[i],)
-                out.extend(base + match for match in matches)
-            return out
-
-        return parallel.run_ordered(total, dop, morsel, deadline=deadline,
-                                    label="MergeExchange",
-                                    worker_stats=self.worker_actuals)
-
-    def label(self) -> str:
-        return super().label() + f" (parallel dop={self.dop})"
-
-
 class ProductPlan(Plan):
     """Cartesian product (no usable join edge).  The right side is
     materialized (it is re-scanned once per left row); the left side
@@ -1190,10 +833,6 @@ class ProjectPlan(Plan):
         self.statement = statement
         self.child = child
         self.result_name = result_name
-        #: Degree of parallelism granted by the planner for partial->
-        #: final aggregation (1 = serial; only aggregate fast paths in
-        #: :mod:`repro.plan.vectorized` consult it).
-        self.dop = 1
 
     def records_output(self) -> float:
         return self.child.records_output()
@@ -1206,7 +845,6 @@ class ProjectPlan(Plan):
 
     def execute_relation(self, batch_size: int | None = None) -> Relation:
         self.reset_actuals()
-        self.worker_actuals: list[dict] = []
         start = time.perf_counter()
         result = None
         if _columnar_ready():

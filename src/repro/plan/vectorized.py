@@ -15,18 +15,10 @@ tail for the common shapes:
   ``numpy.bincount`` over the code array on the numpy path, an array
   tally on the pure-Python path, never a per-group member list.
 
-Both paths parallelize as partial -> final aggregation when the
-planner granted the pipeline a degree of parallelism (the child is a
-:class:`~repro.plan.plans.MergeExchangePlan`): workers produce
-per-morsel partials (selections, code tallies) through
-:func:`repro.plan.parallel.run_ordered`, and the consumer merges them
-in morsel order -- counts add, group order is first appearance in
-sequence order -- so results are byte-identical to serial execution.
-
 Exact-semantics gating mirrors the kernels: a fast path engages only
 when it provably reproduces the row path -- validation runs through
 the *same* executor helpers (:func:`~repro.sql.executor.
-_projection_items`, ``_validate_grouped``), predicates pre-flight
+_projection_items`, ``_validate_grouped``), predicates evaluate
 through :func:`~repro.relational.kernels.predicate_mask`, and any
 unsupported shape returns ``None`` so the caller falls back to the
 row-path projection, which reproduces interpreter behavior exactly.
@@ -35,10 +27,9 @@ row-path projection, which reproduces interpreter behavior exactly.
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
 from repro import obs
-from repro.plan import parallel, plans
+from repro.plan import plans
 from repro.relational import columnar, kernels
 from repro.relational.expressions import ColumnRef
 from repro.sql import executor as _executor
@@ -70,41 +61,19 @@ def fast_result(project):
     return result
 
 
-def _chain_of(project):
-    """``(scan, filters, dop)`` when the plan under *project* is a
-    scan(+filter) chain, optionally behind a merge exchange whose
-    degree carries over; ``None`` otherwise."""
-    child = project.child
-    dop = 1
-    if isinstance(child, plans.MergeExchangePlan):
-        dop = min(child.dop, parallel.workers())
-        chain = plans._scan_filter_chain(child.child)
-    else:
-        chain = plans._scan_filter_chain(child)
-    if chain is None:
-        return None
-    scan, filters = chain
-    return scan, filters, dop
-
-
-def _prepare_chain(scan, filters):
-    """``(store, predicates, binding)`` with the kernel pre-flight done
-    (raises :class:`~repro.relational.kernels.UnsupportedKernel` on the
-    consumer thread for shapes the kernels cannot fuse) and the scan's
-    actuals set to its full snapshot."""
+def _chain_mask(scan, filters):
+    """``(store, mask)``: the chain's predicates as one column-kernel
+    mask over the scan's store (``None`` = every row survives), with
+    the scan's actuals set to its full snapshot.  Raises
+    :class:`~repro.relational.kernels.UnsupportedKernel` for shapes the
+    kernels cannot evaluate exactly."""
     start = time.perf_counter()
     store = scan.relation.column_store()
-    predicates = [predicate for node in filters
-                  for predicate in node.predicates]
-    binding = [scan.binding]
-    kernels.predicate_mask(store, predicates, binding, 0, 0)
     scan.actual_rows = len(store.rows)
     scan.actual_time_s = time.perf_counter() - start
-    return store, predicates, binding
-
-
-def _deadline():
-    return getattr(plans._statement_deadline, "at", None)
+    predicates = [predicate for node in filters
+                  for predicate in node.predicates]
+    return store, kernels.predicate_mask(store, predicates, [scan.binding])
 
 
 # -- vectorized projection ---------------------------------------------------
@@ -115,10 +84,10 @@ def fast_project(project):
     if statement.order_by and not all(
             isinstance(key, ColumnRef) for key in statement.order_by):
         return None
-    resolved = _chain_of(project)
-    if resolved is None:
+    chain = plans._scan_filter_chain(project.child)
+    if chain is None:
         return None
-    scan, filters, dop = resolved
+    scan, filters = chain
     scope = project.scope
     # Same expansion + validation as the row path, so unknown columns
     # and ambiguities raise the identical SqlError at the same point.
@@ -126,10 +95,10 @@ def fast_project(project):
     if not all(isinstance(item.expression, ColumnRef) for item in items):
         return None
     try:
-        store, predicates, binding = _prepare_chain(scan, filters)
+        store, mask = _chain_mask(scan, filters)
     except kernels.UnsupportedKernel:
         return None
-    selection = _chain_selection(store, predicates, binding, dop, project)
+    selection = kernels.to_selection(mask)
     schema = scan.relation.schema
     positions = [schema.position(item.expression.column) for item in items]
     columns = [_gathered(store, position, selection)
@@ -159,39 +128,6 @@ def _gathered(store, position: int, selection) -> list:
     return [values[i] for i in selection]
 
 
-def _chain_selection(store, predicates, binding, dop: int, project):
-    """Global selection vector of surviving row indices (``None`` =
-    every row), with the mask evaluated morsel-parallel when *dop*
-    grants workers (partial selections merge back in morsel order, so
-    the vector is ascending exactly like the serial one)."""
-    if not predicates:
-        return None
-    total_rows = len(store.rows)
-    morsel_rows = parallel.MORSEL_ROWS
-    if dop <= 1 or total_rows < 2 * morsel_rows:
-        mask = kernels.predicate_mask(store, predicates, binding)
-        return kernels.to_selection(mask)
-    total = (total_rows + morsel_rows - 1) // morsel_rows
-
-    def morsel(seq: int):
-        lo = seq * morsel_rows
-        hi = min(total_rows, lo + morsel_rows)
-        mask = kernels.predicate_mask(store, predicates, binding, lo, hi)
-        return lo, hi, kernels.to_selection(mask)
-
-    selection: list[int] = []
-    for lo, hi, part in parallel.run_ordered(
-            total, dop, morsel, deadline=_deadline(),
-            label="MergeExchange", worker_stats=project.worker_actuals):
-        if part is None:
-            selection.extend(range(lo, hi))
-        else:
-            selection.extend(lo + i for i in part)
-    if len(selection) == total_rows:
-        return None
-    return selection
-
-
 # -- COUNT / GROUP BY over dictionary codes ----------------------------------
 
 
@@ -199,10 +135,10 @@ def fast_aggregate(project):
     statement = project.statement
     if statement.order_by:
         return None
-    resolved = _chain_of(project)
-    if resolved is None:
+    chain = plans._scan_filter_chain(project.child)
+    if chain is None:
         return None
-    scan, filters, dop = resolved
+    scan, filters = chain
     scope = project.scope
     # Same up-front validation as the row path (star/aggregate mixing,
     # GROUP BY membership, reference resolution).
@@ -227,115 +163,77 @@ def fast_aggregate(project):
             if not isinstance(expression, ColumnRef):
                 return None
             specs.append(("key", None))
-    try:
-        store, predicates, binding = _prepare_chain(scan, filters)
-    except kernels.UnsupportedKernel:
-        return None
-    agg_positions = sorted({position for kind, position in specs
-                            if kind == "count"})
+    column = None
     if group_exprs:
         group = group_exprs[0]
         if not isinstance(group, ColumnRef):
             return None
-        group_position = schema.position(group.column)
-        column = store.columns[group_position]
+        column = scan.relation.column_store().columns[
+            schema.position(group.column)]
         if not isinstance(column, columnar.DictionaryColumn):
             return None
-        rows = _grouped_counts(store, predicates, binding, column,
-                               agg_positions, specs, dop, project)
+    try:
+        store, mask = _chain_mask(scan, filters)
+    except kernels.UnsupportedKernel:
+        return None
+    agg_positions = sorted({position for kind, position in specs
+                            if kind == "count"})
+    if column is not None:
+        rows = _grouped_counts(store, mask, column, agg_positions, specs)
     else:
-        rows = _global_counts(store, predicates, binding, agg_positions,
-                              specs, dop, project)
+        rows = _global_counts(store, mask, agg_positions, specs)
     project.child.actual_rows = len(rows)
     names = _executor._output_names(statement.items)
     return _executor._grouped_result(scope, statement, names, rows,
                                      project.result_name)
 
 
-def _morsel_layout(total_rows: int):
-    morsel_rows = parallel.MORSEL_ROWS
-    return morsel_rows, (total_rows + morsel_rows - 1) // morsel_rows
-
-
-def _global_counts(store, predicates, binding, agg_positions, specs,
-                   dop: int, project) -> list[tuple]:
-    """One output row of global COUNTs, reduced as partial -> final
-    sums over morsel ranges."""
+def _global_counts(store, mask, agg_positions, specs) -> list[tuple]:
+    """One output row of global COUNTs over the rows *mask* keeps."""
     total_rows = len(store.rows)
-    morsel_rows, total = _morsel_layout(total_rows)
-
-    def morsel(seq: int):
-        lo = seq * morsel_rows
-        hi = min(total_rows, lo + morsel_rows)
-        mask = (kernels.predicate_mask(store, predicates, binding, lo, hi)
-                if predicates else None)
-        size = kernels.count(mask, hi - lo)
-        notnull = {}
-        for position in agg_positions:
-            part = kernels.notnull_mask(store, position, lo, hi)
-            notnull[position] = kernels.count(
-                kernels.combine_and(mask, part), hi - lo)
-        return size, notnull
-
-    total_count = 0
-    notnull_totals = {position: 0 for position in agg_positions}
-    for size, notnull in parallel.run_ordered(
-            total, dop, morsel, deadline=_deadline(),
-            label="PartialAggregate", worker_stats=project.worker_actuals):
-        total_count += size
-        for position in agg_positions:
-            notnull_totals[position] += notnull[position]
-    row = tuple(total_count if kind == "count_star"
-                else notnull_totals[position]
-                for kind, position in specs)
-    return [row]
+    notnull = {position: kernels.count(kernels.combine_and(
+                   mask, kernels.notnull_mask(store, position)), total_rows)
+               for position in agg_positions}
+    total_count = kernels.count(mask, total_rows)
+    return [tuple(total_count if kind == "count_star"
+                  else notnull[position]
+                  for kind, position in specs)]
 
 
-def _grouped_counts(store, predicates, binding, column, agg_positions,
-                    specs, dop: int, project) -> list[tuple]:
-    """GROUP BY over a dictionary column, reduced over codes: each
-    morsel produces ``(codes in first-appearance order, count per code,
-    non-null count per code per COUNT column)``; the final merge adds
-    tallies and keeps first-appearance order across morsels, exactly
-    the serial group order.  Tallies are indexed by ``code + 1`` so the
-    NULL code (-1) lands in slot 0."""
-    total_rows = len(store.rows)
-    morsel_rows, total = _morsel_layout(total_rows)
+def _grouped_counts(store, mask, column, agg_positions, specs
+                    ) -> list[tuple]:
+    """GROUP BY over a dictionary column, reduced over codes: a count
+    per code and a non-null count per code per COUNT column, groups in
+    order of first appearance, exactly the row path's group order.
+    Tallies are indexed by ``code + 1`` so the NULL code (-1) lands in
+    slot 0."""
     cardinality = len(column.values)
     np = columnar.numpy_module()
-    np_codes = column.np_codes() if np is not None else None
-    codes = column.codes
-    plain_values = {position: store.values(position)
-                    for position in agg_positions}
-
-    def morsel(seq: int):
-        lo = seq * morsel_rows
-        hi = min(total_rows, lo + morsel_rows)
-        mask = (kernels.predicate_mask(store, predicates, binding, lo, hi)
-                if predicates else None)
-        if np is not None:
-            span_codes = np_codes[lo:hi]
-            sel_codes = span_codes if mask is None else span_codes[mask]
-            counts = np.bincount(sel_codes + 1,
-                                 minlength=cardinality + 1)
-            uniq, first = np.unique(sel_codes, return_index=True)
-            code_order = [int(code) for code in uniq[np.argsort(first)]]
-            notnull = {}
-            for position in agg_positions:
-                part = kernels.notnull_mask(store, position, lo, hi)
-                if part is None:
-                    notnull[position] = None  # == counts for this morsel
-                else:
-                    sel_part = part if mask is None else part[mask]
-                    notnull[position] = np.bincount(
-                        sel_codes + 1, weights=sel_part,
-                        minlength=cardinality + 1)
-            return code_order, counts, notnull
+    if np is not None:
+        codes = column.np_codes()
+        sel_codes = codes if mask is None else codes[mask]
+        counts = np.bincount(sel_codes + 1, minlength=cardinality + 1)
+        uniq, first = np.unique(sel_codes, return_index=True)
+        order_codes = [int(code) for code in uniq[np.argsort(first)]]
+        notnull = {}
+        for position in agg_positions:
+            part = kernels.notnull_mask(store, position)
+            if part is None:
+                notnull[position] = counts
+            else:
+                notnull[position] = np.bincount(
+                    sel_codes + 1,
+                    weights=part if mask is None else part[mask],
+                    minlength=cardinality + 1)
+    else:
+        codes = column.codes
         selection = kernels.to_selection(mask)
-        indices = (range(lo, hi) if selection is None
-                   else [lo + i for i in selection])
+        indices = (range(len(store.rows)) if selection is None
+                   else selection)
+        plain_values = {position: store.values(position)
+                        for position in agg_positions}
         counts = [0] * (cardinality + 1)
-        code_order: list[int] = []
+        order_codes: list[int] = []
         seen: set[int] = set()
         notnull = {position: [0] * (cardinality + 1)
                    for position in agg_positions}
@@ -344,43 +242,11 @@ def _grouped_counts(store, predicates, binding, column, agg_positions,
             slot = code + 1
             if code not in seen:
                 seen.add(code)
-                code_order.append(code)
+                order_codes.append(code)
             counts[slot] += 1
             for position in agg_positions:
                 if plain_values[position][i] is not None:
                     notnull[position][slot] += 1
-        return code_order, counts, notnull
-
-    order_codes: list[int] = []
-    seen: set[int] = set()
-    if np is not None:
-        count_totals = np.zeros(cardinality + 1, dtype=np.int64)
-        notnull_totals = {position: np.zeros(cardinality + 1)
-                          for position in agg_positions}
-    else:
-        count_totals = [0] * (cardinality + 1)
-        notnull_totals = {position: [0] * (cardinality + 1)
-                          for position in agg_positions}
-    for code_order, counts, notnull in parallel.run_ordered(
-            total, dop, morsel, deadline=_deadline(),
-            label="PartialAggregate", worker_stats=project.worker_actuals):
-        for code in code_order:
-            if code not in seen:
-                seen.add(code)
-                order_codes.append(code)
-        if np is not None:
-            count_totals += counts
-            for position in agg_positions:
-                notnull_totals[position] += (
-                    counts if notnull[position] is None
-                    else notnull[position])
-        else:
-            for slot, value in enumerate(counts):
-                count_totals[slot] += value
-            for position in agg_positions:
-                tally = notnull[position]
-                for slot, value in enumerate(tally):
-                    notnull_totals[position][slot] += value
 
     values_table = column.values
     rows: list[tuple] = []
@@ -392,9 +258,9 @@ def _grouped_counts(store, predicates, binding, column, agg_positions,
             if kind == "key":
                 out.append(key)
             elif kind == "count_star":
-                out.append(int(count_totals[slot]))
+                out.append(int(counts[slot]))
             else:
-                out.append(int(notnull_totals[position][slot]))
+                out.append(int(notnull[position][slot]))
         rows.append(tuple(out))
     return rows
 

@@ -146,7 +146,7 @@ class DictionaryColumn:
     def decode(self) -> list:
         """The raw values back, in row order (round-trip inverse of the
         encoding).  Cached until the next append -- repeated gathers
-        (parallel morsel workers, column-at-a-time projection) must not
+        (column-at-a-time projection, hash-join probes) must not
         pay one full decode each.  Treat the returned list as
         read-only."""
         if self._decoded is None:

@@ -54,26 +54,18 @@ class UnsupportedKernel(Exception):
 
 
 def predicate_mask(store: ColumnStore, predicates: Sequence[Expression],
-                   qualifiers: Iterable[str] = (),
-                   lo: int = 0, hi: int | None = None):
+                   qualifiers: Iterable[str] = ()):
     """The conjunction of *predicates* as one mask over *store*'s rows
     (``None`` when there are no predicates, i.e. everything survives).
-
-    ``lo``/``hi`` restrict evaluation to the row range ``[lo, hi)`` --
-    the parallel morsel path hands each worker a disjoint range, and on
-    the numpy path a range is an array slice (a view, so the comparison
-    itself releases the GIL over just those rows).  The default range
-    is every row.
 
     Raises :class:`UnsupportedKernel` for trees outside the compilable
     subset and :class:`ExpressionError` for resolution failures, with
     the row-path resolver's messages.
     """
     accepted = {q.lower() for q in qualifiers}
-    span = _Span(lo, len(store.rows) if hi is None else hi)
     mask = None
     for predicate in predicates:
-        mask = combine_and(mask, _mask(predicate, store, accepted, span))
+        mask = combine_and(mask, _mask(predicate, store, accepted))
     return mask
 
 
@@ -110,30 +102,26 @@ def to_selection(mask):
     return [i for i, survives in enumerate(mask) if survives]
 
 
-def membership_mask(store: ColumnStore, position: int, keys,
-                    lo: int = 0, hi: int | None = None):
-    """Mask of rows in ``[lo, hi)`` (default: every row) whose value in
-    the column at *position* appears in *keys* (the hash-join probe
-    prefilter).  NULLs never match.  The mask may *over*-approximate
-    only if a caller skips the final bucket lookup -- here it is exact
-    for hashable keys, and callers re-probe the bucket dict per
-    candidate anyway, so row-path dict semantics (including NaN
-    identity) are preserved.
+def membership_mask(store: ColumnStore, position: int, keys):
+    """Mask of rows whose value in the column at *position* appears in
+    *keys* (the hash-join probe prefilter).  NULLs never match.  The
+    mask may *over*-approximate only if a caller skips the final bucket
+    lookup -- here it is exact for hashable keys, and callers re-probe
+    the bucket dict per candidate anyway, so row-path dict semantics
+    (including NaN identity) are preserved.
     """
     np = columnar.numpy_module()
     column = store.columns[position]
-    if hi is None:
-        hi = len(store.rows)
     if isinstance(column, DictionaryColumn):
         codes = [column.code_for(key) for key in keys]
         wanted = {code for code in codes if code is not None}
         if np is not None:
             if not wanted:
-                return np.zeros(hi - lo, dtype=bool)
-            return np.isin(column.np_codes()[lo:hi],
+                return np.zeros(len(store.rows), dtype=bool)
+            return np.isin(column.np_codes(),
                            np.fromiter(wanted, dtype=np.int32,
                                        count=len(wanted)))
-        return [code in wanted for code in column.codes[lo:hi]]
+        return [code in wanted for code in column.codes]
     if np is not None:
         array = column.array() if isinstance(column, PlainColumn) else None
         if array is not None and not _nan_hazard(np, array, keys):
@@ -142,30 +130,25 @@ def membership_mask(store: ColumnStore, position: int, keys,
             except (TypeError, ValueError, OverflowError):
                 key_array = None
             if key_array is not None and key_array.dtype.kind in "if":
-                return np.isin(array[lo:hi], key_array)
+                return np.isin(array, key_array)
     key_set = set(keys)
-    return [value in key_set for value in column.values[lo:hi]]
+    return [value in key_set for value in column.values]
 
 
-def notnull_mask(store: ColumnStore, position: int,
-                 lo: int = 0, hi: int | None = None):
-    """Mask of rows in ``[lo, hi)`` (default: every row) whose value in
-    the column at *position* is not NULL (``None`` when the range
-    provably has no NULLs)."""
+def notnull_mask(store: ColumnStore, position: int):
+    """Mask of rows whose value in the column at *position* is not NULL
+    (``None`` when the column provably has no NULLs)."""
     column = store.columns[position]
     np = columnar.numpy_module()
-    if hi is None:
-        hi = len(store.rows)
     if isinstance(column, DictionaryColumn):
         if np is not None:
-            return column.np_codes()[lo:hi] >= 0
-        return [code >= 0 for code in column.codes[lo:hi]]
+            return column.np_codes() >= 0
+        return [code >= 0 for code in column.codes]
     if np is not None and isinstance(column, PlainColumn):
         if column.array() is not None:  # a built array proves no NULLs
             return None
-    values = column.values[lo:hi]
-    if any(value is None for value in values):
-        mask = [value is not None for value in values]
+    if any(value is None for value in column.values):
+        mask = [value is not None for value in column.values]
         return (np.asarray(mask, dtype=bool) if np is not None else mask)
     return None
 
@@ -183,45 +166,31 @@ def _nan_hazard(np, array, keys) -> bool:
 # -- mask compilation --------------------------------------------------------
 
 
-class _Span:
-    """The half-open row range ``[lo, hi)`` a mask evaluates over."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int) -> None:
-        self.lo = lo
-        self.hi = max(lo, hi)
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-
-def _mask(expression: Expression, store: ColumnStore, accepted: set,
-          span: _Span):
-    mask = _mask_node(expression, store, accepted, span)
+def _mask(expression: Expression, store: ColumnStore, accepted: set):
+    mask = _mask_node(expression, store, accepted)
     np = columnar.numpy_module()
     if np is not None and not isinstance(mask, np.ndarray):
         mask = np.asarray(mask, dtype=bool)
     return mask
 
 
-def _mask_node(expression: Expression, store: ColumnStore, accepted: set,
-               span: _Span):
+def _mask_node(expression: Expression, store: ColumnStore, accepted: set):
+    n = len(store.rows)
     if isinstance(expression, Literal):
-        return _const_mask(len(span), bool(expression.value))
+        return _const_mask(n, bool(expression.value))
     if isinstance(expression, Comparison):
-        return _comparison_mask(expression, store, accepted, span)
+        return _comparison_mask(expression, store, accepted)
     if isinstance(expression, IsNull):
-        return _is_null_mask(expression, store, accepted, span)
+        return _is_null_mask(expression, store, accepted)
     if isinstance(expression, And):
         mask = None
         for part in expression.parts:
-            mask = combine_and(mask, _mask(part, store, accepted, span))
+            mask = combine_and(mask, _mask(part, store, accepted))
         return mask
     if isinstance(expression, Or):
         mask = None
         for part in expression.parts:
-            part_mask = _mask(part, store, accepted, span)
+            part_mask = _mask(part, store, accepted)
             if mask is None:
                 mask = part_mask
             else:
@@ -230,7 +199,7 @@ def _mask_node(expression: Expression, store: ColumnStore, accepted: set,
                         else [a or b for a, b in zip(mask, part_mask)])
         return mask
     if isinstance(expression, Not):
-        mask = _mask(expression.operand, store, accepted, span)
+        mask = _mask(expression.operand, store, accepted)
         np = columnar.numpy_module()
         return ~mask if np is not None else [not value for value in mask]
     raise UnsupportedKernel(type(expression).__name__)
@@ -252,25 +221,26 @@ def _resolve(ref: ColumnRef, store: ColumnStore, accepted: set) -> int:
 
 
 def _comparison_mask(expression: Comparison, store: ColumnStore,
-                     accepted: set, span: _Span):
+                     accepted: set):
     left, right, op = expression.left, expression.right, expression.op
     if isinstance(left, Literal) and isinstance(right, ColumnRef):
         expression = expression.flipped()
         left, right, op = expression.left, expression.right, expression.op
     if isinstance(left, ColumnRef) and isinstance(right, Literal):
         position = _resolve(left, store, accepted)
-        return _column_literal_mask(store, position, op, right.value, span)
+        return _column_literal_mask(store, position, op, right.value)
     if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
         position_a = _resolve(left, store, accepted)
         position_b = _resolve(right, store, accepted)
-        return _column_column_mask(store, position_a, position_b, op, span)
+        return _column_column_mask(store, position_a, position_b, op)
     raise UnsupportedKernel(expression.render())
 
 
 def _column_literal_mask(store: ColumnStore, position: int, op: str,
-                         literal: Any, span: _Span):
+                         literal: Any):
+    n = len(store.rows)
     if literal is None:
-        return _const_mask(len(span), False)  # NULL compares false
+        return _const_mask(n, False)  # NULL compares false to everything
     datatype = store.schema.columns[position].datatype
     try:
         literal_type = infer_type(literal)
@@ -292,19 +262,18 @@ def _column_literal_mask(store: ColumnStore, position: int, op: str,
             np_table = np.zeros(len(table) + 1, dtype=bool)
             if table:
                 np_table[:len(table)] = table
-            return np_table[column.np_codes()[span.lo:span.hi]]
-        return [code >= 0 and table[code]
-                for code in column.codes[span.lo:span.hi]]
+            return np_table[column.np_codes()]
+        return [code >= 0 and table[code] for code in column.codes]
     if np is not None:
         array = column.array()
         if array is not None:
-            return _np_compare(np, op, array[span.lo:span.hi], literal)
+            return _np_compare(np, op, array, literal)
     return [value is not None and compare(value, literal)
-            for value in column.values[span.lo:span.hi]]
+            for value in column.values]
 
 
 def _column_column_mask(store: ColumnStore, position_a: int,
-                        position_b: int, op: str, span: _Span):
+                        position_b: int, op: str):
     type_a = store.schema.columns[position_a].datatype
     type_b = store.schema.columns[position_b].datatype
     if not comparable(type_a, type_b):
@@ -317,16 +286,14 @@ def _column_column_mask(store: ColumnStore, position_a: int,
         array_a = column_a.array()
         array_b = column_b.array()
         if array_a is not None and array_b is not None:
-            return _np_compare(np, op, array_a[span.lo:span.hi],
-                               array_b[span.lo:span.hi])
+            return _np_compare(np, op, array_a, array_b)
     compare = _COMPARISONS[op]
     return [a is not None and b is not None and compare(a, b)
-            for a, b in zip(store.values(position_a)[span.lo:span.hi],
-                            store.values(position_b)[span.lo:span.hi])]
+            for a, b in zip(store.values(position_a),
+                            store.values(position_b))]
 
 
-def _is_null_mask(expression: IsNull, store: ColumnStore, accepted: set,
-                  span: _Span):
+def _is_null_mask(expression: IsNull, store: ColumnStore, accepted: set):
     if not isinstance(expression.operand, ColumnRef):
         raise UnsupportedKernel(expression.render())
     position = _resolve(expression.operand, store, accepted)
@@ -334,19 +301,17 @@ def _is_null_mask(expression: IsNull, store: ColumnStore, accepted: set,
     np = columnar.numpy_module()
     if isinstance(column, DictionaryColumn):
         if np is not None:
-            codes = column.np_codes()[span.lo:span.hi]
+            codes = column.np_codes()
             return codes >= 0 if expression.negated else codes < 0
-        codes = column.codes[span.lo:span.hi]
         if expression.negated:
-            return [code >= 0 for code in codes]
-        return [code < 0 for code in codes]
+            return [code >= 0 for code in column.codes]
+        return [code < 0 for code in column.codes]
     if np is not None and isinstance(column, PlainColumn):
         if column.array() is not None:  # a built array proves no NULLs
-            return _const_mask(len(span), expression.negated)
-    values = column.values[span.lo:span.hi]
+            return _const_mask(len(store.rows), expression.negated)
     if expression.negated:
-        return [value is not None for value in values]
-    return [value is None for value in values]
+        return [value is not None for value in column.values]
+    return [value is None for value in column.values]
 
 
 def _const_mask(n: int, value: bool):

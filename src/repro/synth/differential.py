@@ -88,8 +88,7 @@ class EngineSession:
                  compiled_predicates: bool = True,
                  cache_enabled: bool = False,
                  batch_size: int | None = None,
-                 columnar_enabled: bool | None = None,
-                 parallel_workers: int | None = None):
+                 columnar_enabled: bool | None = None):
         self.instance = instance
         self.use_planner = use_planner
         self.with_rules = with_rules
@@ -99,9 +98,6 @@ class EngineSession:
         compiled.ENABLED = compiled_predicates
         self._columnar_before = columnar.FORCED
         columnar.set_enabled(columnar_enabled)
-        from repro.plan import parallel
-        self._parallel_before = parallel.FORCED
-        parallel.set_workers(parallel_workers)
         from repro.cache.core import query_cache
         self._cache = query_cache(instance.database)
         self._cache.enabled = cache_enabled
@@ -132,10 +128,8 @@ class EngineSession:
         return rows_fingerprint(self.instance)
 
     def close(self) -> None:
-        from repro.plan import parallel
         compiled.ENABLED = self._compiled_before
         columnar.set_enabled(self._columnar_before)
-        parallel.set_workers(self._parallel_before)
 
 
 class ServerSession:
@@ -220,17 +214,13 @@ _register("columnar", "planner over the columnar store with vectorized "
 _register("columnar-off", "planner forced onto the row pipeline "
           "(columnar store and kernels disabled)",
           lambda instance: EngineSession(instance, columnar_enabled=False))
-_register("parallel", "planner with exchange operators at 4 workers",
-          lambda instance: EngineSession(instance, parallel_workers=4))
-_register("parallel-off", "planner forced onto strictly serial plans",
-          lambda instance: EngineSession(instance, parallel_workers=1))
 _register("server", "statements shipped over the wire protocol",
           ServerSession)
 
 #: The default matrix: one representative per engine dimension.
 DEFAULT_CONFIGS = ("legacy", "planner", "planner-rules", "interpreted",
                    "batch-1", "unbounded", "cached", "columnar",
-                   "columnar-off", "parallel", "parallel-off", "server")
+                   "columnar-off", "server")
 
 
 # ---------------------------------------------------------------------------

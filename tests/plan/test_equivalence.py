@@ -13,7 +13,6 @@ equality is bag equality, so plan-dependent row order is ignored.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.plan import parallel
 from repro.plan.planner import plan_select
 from repro.plan.plans import UNBOUNDED
 from repro.relational import columnar, compiled
@@ -231,47 +230,3 @@ def test_aggregates_match_legacy(case, count_column):
                              use_planner=True, rules=fixture.rules)
     legacy = execute_select_legacy(fixture.database, statement)
     assert planned == legacy, f"[{fixture.name}] {rewritten}"
-
-
-@settings(max_examples=25, deadline=None)
-@given(select_statements(), st.sampled_from([2, 4]),
-       st.sampled_from([1, None]))
-def test_parallel_matches_serial(case, worker_count, batch_size):
-    """REPRO_PARALLEL is a performance knob, never a semantic one: with
-    the DOP thresholds shrunk so fixture-sized tables actually fan out
-    across exchange operators, every worker count yields tuple-for-tuple
-    the serial plan's rows -- same order, not just the same bag -- on
-    the fused columnar path and the pure row path, at every batch
-    size."""
-    fixture, sql = case
-    statement = parse_select(sql)
-
-    def run():
-        return plan_select(fixture.database, statement,
-                           rules=fixture.rules).execute(
-            batch_size=batch_size)
-
-    workers_before = parallel.FORCED
-    columnar_before = columnar.FORCED
-    morsel_before = parallel.MORSEL_ROWS
-    per_worker_before = parallel.ROWS_PER_WORKER
-    try:
-        columnar.set_enabled(True)
-        parallel.set_workers(1)
-        serial = run()
-        # Shrink the planner thresholds so these small fixtures plan
-        # multi-worker pipelines with several morsels per pipeline.
-        parallel.ROWS_PER_WORKER = 2
-        parallel.MORSEL_ROWS = 3
-        parallel.set_workers(worker_count)
-        for fused in (True, False):
-            columnar.set_enabled(fused)
-            result = run()
-            assert list(result.rows) == list(serial.rows), \
-                f"[{fixture.name}] workers={worker_count} " \
-                f"fused={fused} {sql}"
-    finally:
-        parallel.set_workers(workers_before)
-        columnar.set_enabled(columnar_before)
-        parallel.MORSEL_ROWS = morsel_before
-        parallel.ROWS_PER_WORKER = per_worker_before

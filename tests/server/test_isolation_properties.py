@@ -20,10 +20,18 @@ nothing), any success must match the model exactly.  Invariants:
 3. a read can only time out when the *other* session holds a write
    lock on the relation, and a write can only time out when the other
    session holds the transaction token or the relation.
+
+Scripted two-session checks over a table of several thousand rows
+(large enough for the vectorized COUNT path) close the file: blocked
+dirty reads, invisible rollbacks, and a seeded concurrent burst whose
+reads only ever land on commit boundaries.
 """
 
 from __future__ import annotations
 
+import random
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -31,6 +39,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ServerError
 from repro.query import IntensionalQueryProcessor
+from repro.relational.database import Database
+from repro.relational.datatypes import INTEGER, char
 from repro.server import IntensionalQueryServer
 from repro.server.client import Client
 from repro.testbed import ship_database, ship_ker_schema
@@ -116,12 +126,16 @@ class Model:
         return self.in_tx[1 - session]
 
 
-def _reset(clients, model_rows=IDS):
+def _rollback_all(clients):
     for client in clients:
         try:
             client.rollback()
         except ServerError:
             pass
+
+
+def _reset(clients, model_rows=IDS):
+    _rollback_all(clients)
     for row_id in model_rows:
         clients[0].sql(
             f"DELETE FROM SUBMARINE WHERE Id = '{row_id}'")
@@ -214,3 +228,118 @@ def test_private_cache_entries_never_leak(harness, row_id, via_ask):
     one.rollback()
     assert _read_ids(two, via_ask)[row_id] == 0
     assert _read_ids(one, via_ask)[row_id] == 0
+
+
+# -- scripted sessions over a larger table -----------------------------------
+
+EVENT_ROWS = 6000
+COUNT_SQL = "SELECT COUNT(*) FROM EVENT WHERE EVENT.V != 500"
+
+
+@pytest.fixture(scope="module")
+def event_harness(tmp_path_factory):
+    """A server over a single EVENT table, plus two clients."""
+    database = Database("event-bed")
+    database.create("EVENT", [("Id", INTEGER), ("V", INTEGER),
+                              ("Cat", char(8))],
+                    [(i, (i * 7919) % 1000, f"c{i % 5}")
+                     for i in range(EVENT_ROWS)])
+    system = IntensionalQueryProcessor.from_database(database)
+    system.attach_storage(
+        str(tmp_path_factory.mktemp("event-isolation") / "data"))
+    system.storage.checkpoint()
+    server = IntensionalQueryServer(system, lock_timeout_s=0.25)
+    server.start()
+    clients = [Client("127.0.0.1", server.port).connect()
+               for _ in range(2)]
+    yield clients
+    for client in clients:
+        client.close()
+    server.shutdown()
+
+
+def _count(client) -> int:
+    return client.sql(COUNT_SQL).rows[0][0]
+
+
+def _reset_events(clients):
+    _rollback_all(clients)
+    clients[0].sql(f"DELETE FROM EVENT WHERE EVENT.Id >= {EVENT_ROWS}")
+
+
+def test_uncommitted_writes_block_the_other_session(event_harness):
+    clients = event_harness
+    _reset_events(clients)
+    writer, reader = clients
+    base = _count(reader)
+    writer.begin()
+    try:
+        writer.sql(f"INSERT INTO EVENT VALUES ({EVENT_ROWS}, 1, 'new')")
+        # 2PL: the writer holds an exclusive lock, so the read cannot
+        # observe the uncommitted row -- it must block until the lock
+        # timeout instead of returning a dirty count.
+        with pytest.raises(ServerError) as exc:
+            reader.sql(COUNT_SQL)
+        assert exc.value.remote_type == "LockTimeout"
+    finally:
+        writer.commit()
+    assert _count(reader) == base + 1
+    _reset_events(clients)
+
+
+def test_rolled_back_writes_stay_invisible(event_harness):
+    clients = event_harness
+    _reset_events(clients)
+    writer, reader = clients
+    base = _count(reader)
+    writer.begin()
+    writer.sql(f"INSERT INTO EVENT VALUES ({EVENT_ROWS + 1}, 1, 'gone')")
+    writer.rollback()
+    assert _count(reader) == base
+    assert _count(writer) == base
+    _reset_events(clients)
+
+
+def test_seeded_burst_reads_only_committed_boundaries(event_harness):
+    """Seeded concurrent burst: the writer commits in strides of
+    ``tx_rows`` rows while the reader hammers COUNTs.  Every successful
+    read must land on a commit boundary -- an intermediate count would
+    mean a scan saw half a transaction."""
+    clients = event_harness
+    _reset_events(clients)
+    writer, reader = clients
+    rng = random.Random(1234)
+    base = _count(reader)
+    tx_rows, tx_count = 10, 5
+    committed = {base + tx_rows * j for j in range(tx_count + 1)}
+    violations: list[int] = []
+    done = threading.Event()
+
+    def read_loop():
+        while not done.is_set():
+            try:
+                seen = _count(reader)
+            except ServerError as error:  # blocked on the writer: fine
+                assert error.remote_type == "LockTimeout"
+            else:
+                if seen not in committed:
+                    violations.append(seen)
+
+    thread = threading.Thread(target=read_loop, daemon=True)
+    thread.start()
+    try:
+        for j in range(tx_count):
+            time.sleep(rng.uniform(0.0, 0.01))  # seeded interleaving
+            writer.begin()
+            for i in range(tx_rows):
+                row_id = EVENT_ROWS + 100 + j * tx_rows + i
+                writer.sql(
+                    f"INSERT INTO EVENT VALUES ({row_id}, 1, 'b')")
+            writer.commit()
+    finally:
+        done.set()
+        thread.join(10.0)
+    assert not thread.is_alive()
+    assert violations == []
+    assert _count(reader) == base + tx_rows * tx_count
+    _reset_events(clients)
