@@ -29,29 +29,39 @@ class PartialDescription(NamedTuple):
 
 
 def backward_match(facts: FactBase, rules: RuleSet,
-                   exclude: set[int] | None = None
+                   exclude: set[int] | None = None,
+                   stats: dict | None = None
                    ) -> list[PartialDescription]:
     """Rules whose consequence is implied by the established facts.
 
-    *exclude* holds ``id()``s of rules to skip -- the engine passes the
-    rules that already fired forward, whose backward reading restates
-    them.
+    Only rules concluding on an attribute with a fact can match: the
+    rule set's consequence index yields them, per fact, through the
+    fact's class of equivalent attributes.  *exclude* holds ``id()``s of
+    rules to skip -- the engine passes the rules that already fired
+    forward, whose backward reading restates them.  *stats* adds the
+    number of rules checked to its ``examined`` entry.
     """
+    candidates = []
+    for ref, fact, sources in facts.facts():
+        via_derived = any(source != "query" for source in sources)
+        for member in facts.members(ref.key):
+            candidates.extend((position, fact, via_derived) for position
+                              in rules.conclusion_positions(member))
     out: list[PartialDescription] = []
-    for rule in rules:
+    examined = 0
+    for position, fact, via_derived in sorted(candidates):
+        rule = rules[position + 1]
         if exclude and id(rule) in exclude:
             continue
-        fact = facts.interval_for(rule.rhs.attribute)
-        if fact is None:
-            continue
+        examined += 1
         if not fact.contains(rule.rhs.interval):
             continue
         if _premise_trivial(rule, facts):
             continue
-        sources = facts.sources_for(rule.rhs.attribute)
-        via_derived = any(source != "query" for source in sources)
         out.append(PartialDescription(rule, via_derived))
     out.sort(key=lambda item: -item.rule.support)
+    if stats is not None:
+        stats["examined"] = stats.get("examined", 0) + examined
     return out
 
 

@@ -117,53 +117,33 @@ class TypeInferenceEngine:
             for left, right in equivalences:
                 canonicalizer.unite(left, right)
             facts = FactBase(canonicalizer, self._domains)
+            derivations, propagations = [], []
+            fired: set[int] = set()
             try:
                 for clause in conditions:
                     facts.add_condition(clause)
+                if forward:
+                    derivations, propagations = self._forward(facts, fired)
             except InferenceError:
-                # Contradictory conditions: the query denotes the empty
-                # set.  That *is* an intensional answer ("no instance
-                # can qualify"), not an execution failure.
+                # Contradictory conditions, or conclusions derived from
+                # them (a condition outside a domain fires every rule on
+                # it vacuously): the query denotes the empty set.  That
+                # *is* an intensional answer, not an execution failure.
                 obs.counter("inference_unsatisfiable_total",
                             "queries proven unsatisfiable from their "
-                            "own conditions").inc()
+                            "conditions and the rules").inc()
                 span.set(outcome="unsatisfiable")
                 return InferenceResult(conditions, facts, [], [],
                                        classification_attributes=(
                                            self._classification),
                                        unsatisfiable=True)
-
-            derivations = []
-            propagations = []
-            rounds = 0
-            if forward:
-                fired: set[int] = set()
-                with obs.span("inference.forward") as forward_span:
-                    for _round in range(20):
-                        rounds += 1
-                        new_derivations = forward_chain(facts, self.rules,
-                                                        fired=fired)
-                        new_propagations = (
-                            propagate_bounds(facts, self.constraints)
-                            if self.constraints else [])
-                        derivations.extend(new_derivations)
-                        propagations.extend(new_propagations)
-                        if not new_derivations and not new_propagations:
-                            break
-                    forward_span.set(rounds=rounds,
-                                     fired=len(derivations),
-                                     propagations=len(propagations))
-                if derivations:
-                    obs.counter("inference_rules_fired_total",
-                                "forward-chaining rule firings").inc(
-                                    len(derivations))
-            else:
-                fired = set()
             if backward:
                 with obs.span("inference.backward") as backward_span:
+                    stats: dict = {}
                     descriptions = backward_match(facts, self.rules,
-                                                  exclude=fired)
-                    backward_span.set(matches=len(descriptions))
+                                                  exclude=fired, stats=stats)
+                    backward_span.set(matches=len(descriptions),
+                                      examined=stats["examined"])
                 if descriptions:
                     obs.counter("inference_backward_matches_total",
                                 "backward rule-description matches").inc(
@@ -177,3 +157,27 @@ class TypeInferenceEngine:
                                    classification_attributes=(
                                        self._classification),
                                    propagations=propagations)
+
+    def _forward(self, facts: FactBase, fired: set[int]
+                 ) -> tuple[list, list]:
+        """(derivations, propagations) of chaining to fixpoint."""
+        derivations, propagations, stats = [], [], {}
+        with obs.span("inference.forward") as forward_span:
+            for rounds in range(1, 21):
+                new_derivations = forward_chain(facts, self.rules,
+                                                fired=fired, stats=stats)
+                new_propagations = (
+                    propagate_bounds(facts, self.constraints)
+                    if self.constraints else [])
+                derivations.extend(new_derivations)
+                propagations.extend(new_propagations)
+                if not new_derivations and not new_propagations:
+                    break
+            forward_span.set(rounds=rounds, fired=len(derivations),
+                             propagations=len(propagations),
+                             examined=stats["examined"])
+        if derivations:
+            obs.counter("inference_rules_fired_total",
+                        "forward-chaining rule firings").inc(
+                            len(derivations))
+        return derivations, propagations

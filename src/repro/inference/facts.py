@@ -12,7 +12,7 @@ one shared fact.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.errors import InferenceError
 from repro.rules.clause import AttributeRef, Clause, Interval
@@ -76,13 +76,53 @@ class FactBase:
         self.canonicalizer = canonicalizer or Canonicalizer()
         self._facts: dict[tuple[str, str], tuple[AttributeRef, FactEntry]] = {}
         self._domains: dict[tuple[str, str], Interval] = {}
+        #: Per-attribute memos (the canonicalizer must not change once
+        #: facts exist): key -> canonical key, canonical key -> member
+        #: keys, and canonical key -> fact within its domain.
+        self._keys: dict[tuple[str, str], tuple[str, str]] = {}
+        self._members: dict[tuple[str, str], list] | None = None
+        self._effective: dict[tuple[str, str], Interval | None] = {}
         for ref, interval in (domains or {}).items():
-            self._domains[self.canonicalizer.canon(ref).key] = interval
+            self._domains[self.key_of(ref)] = interval
+
+    def key_of(self, ref: AttributeRef) -> tuple[str, str]:
+        """The key of *ref*'s canonical representative."""
+        key = self._keys.get(ref.key)
+        if key is None:
+            key = self._keys[ref.key] = self.canonicalizer.canon(ref).key
+        return key
+
+    def members(self, key: tuple[str, str]) -> Sequence[tuple[str, str]]:
+        """Keys of every attribute whose canonical key is *key*: the
+        foreign-key and join-equivalent spellings sharing its fact."""
+        if self._members is None:
+            self._members = {}
+            for member, parent in list(self.canonicalizer._parent.items()):
+                self._members.setdefault(self.key_of(parent), []).append(
+                    member)
+        return self._members.get(key) or (key,)
 
     # -- domains -----------------------------------------------------------
 
     def domain_for(self, ref: AttributeRef) -> Interval | None:
-        return self._domains.get(self.canonicalizer.canon(ref).key)
+        return self._domains.get(self.key_of(ref))
+
+    def implies(self, clause: Clause) -> bool:
+        """Whether the fact on *clause*'s attribute, narrowed to its
+        declared domain, lies inside the clause interval (Displacement >
+        8000 within [2000..30000] does inside [7250..30000]); a fact
+        excluding every legal value implies anything."""
+        key = self.key_of(clause.attribute)
+        if key not in self._effective:
+            entry = self._facts.get(key)
+            if entry is None:
+                return False
+            domain = self._domains.get(key)
+            self._effective[key] = (
+                entry[1].interval if domain is None
+                else entry[1].interval.intersect(domain))
+        effective = self._effective[key]
+        return effective is None or clause.interval.contains(effective)
 
     # -- facts ---------------------------------------------------------------
 
@@ -96,6 +136,7 @@ class FactBase:
         means the query is unsatisfiable against the knowledge base.
         """
         canon = self.canonicalizer.canon(ref)
+        self._effective.pop(canon.key, None)
         existing = self._facts.get(canon.key)
         if existing is None:
             self._facts[canon.key] = (canon, FactEntry(interval, (source,)))
@@ -112,11 +153,11 @@ class FactBase:
         return True
 
     def interval_for(self, ref: AttributeRef) -> Interval | None:
-        entry = self._facts.get(self.canonicalizer.canon(ref).key)
+        entry = self._facts.get(self.key_of(ref))
         return entry[1].interval if entry else None
 
     def sources_for(self, ref: AttributeRef) -> tuple:
-        entry = self._facts.get(self.canonicalizer.canon(ref).key)
+        entry = self._facts.get(self.key_of(ref))
         return entry[1].sources if entry else ()
 
     def facts(self) -> list[tuple[AttributeRef, Interval, tuple]]:

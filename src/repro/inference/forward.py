@@ -17,8 +17,7 @@ from typing import NamedTuple
 from repro.inference.facts import FactBase
 from repro.rules.clause import Clause
 from repro.rules.rule import Rule
-from repro.rules.ruleset import RuleSet
-from repro.rules.subsumption import interval_subsumes
+from repro.rules.ruleset import RuleAgenda, RuleSet
 
 
 class ForwardDerivation(NamedTuple):
@@ -36,33 +35,42 @@ class ForwardDerivation(NamedTuple):
 def rule_fires(rule: Rule, facts: FactBase) -> bool:
     """Whether every premise of *rule* is implied by the current facts."""
     for clause in rule.lhs:
-        fact = facts.interval_for(clause.attribute)
-        if fact is None:
-            return False
-        domain = facts.domain_for(clause.attribute)
-        if not interval_subsumes(clause.interval, fact, domain):
+        if not facts.implies(clause):
             return False
     return True
 
 
 def forward_chain(facts: FactBase, rules: RuleSet,
                   max_iterations: int = 100,
-                  fired: set[int] | None = None
+                  fired: set[int] | None = None,
+                  stats: dict | None = None
                   ) -> list[ForwardDerivation]:
     """Run forward inference to fixpoint; returns the derivations in
     firing order.  Each rule fires at most once.
 
+    Each round checks, in rule-number order, only the rules the premise
+    index yields for attributes (or their foreign-key and join-equivalent
+    spellings) whose fact appeared or narrowed since the rule was last
+    checked: narrowing only ever enables rules, so no other can fire.
+
     Passing *fired* lets the engine interleave chaining with bound
-    propagation without re-firing rules across rounds.
+    propagation without re-firing rules across rounds; *stats* adds the
+    number of rules checked to its ``examined`` entry.
     """
     derivations: list[ForwardDerivation] = []
     if fired is None:
         fired = set()
+    examined = 0
+    agenda = RuleAgenda(rules, _premise_positions(
+        facts, rules, [ref.key for ref, _interval, _sources
+                       in facts.facts()]))
     for _round in range(max_iterations):
-        progressed = False
-        for rule in rules:
+        if not agenda.next_round():
+            break
+        for rule in agenda:
             if id(rule) in fired:
                 continue
+            examined += 1
             if not rule_fires(rule, facts):
                 continue
             fired.add(id(rule))
@@ -74,7 +82,17 @@ def forward_chain(facts: FactBase, rules: RuleSet,
                 rule.rhs.attribute, rule.rhs.interval, rule)
             derivations.append(ForwardDerivation(
                 rule, rule.rhs, narrowed, triggers))
-            progressed = True
-        if not progressed:
-            break
+            if narrowed:
+                agenda.schedule(_premise_positions(
+                    facts, rules, [facts.key_of(rule.rhs.attribute)]))
+    if stats is not None:
+        stats["examined"] = stats.get("examined", 0) + examined
     return derivations
+
+
+def _premise_positions(facts: FactBase, rules: RuleSet,
+                       keys: list[tuple[str, str]]) -> set[int]:
+    """Positions of the rules with a premise on any attribute in the
+    classes of the canonical *keys*."""
+    return {position for key in keys for member in facts.members(key)
+            for position in rules.premise_positions(member)}

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from repro import obs
 from repro.rules.clause import Interval
 from repro.rules.rule import Rule
-from repro.rules.ruleset import RuleSet
+from repro.rules.ruleset import RuleAgenda, RuleSet
 
 #: Fixpoint guard: interval intersection converges fast; this only
 #: protects against pathological rule chains.
@@ -54,18 +54,18 @@ class SemanticResult(NamedTuple):
     notes: list[SemanticNote]
 
 
-def _rule_applies(rule: Rule, relation_name: str,
+def _rule_applies(rule: Rule, relation_key: str,
                   intervals: dict[str, Interval]) -> bool:
     """Whether every premise of *rule* is implied by the query's
-    constraints on *relation_name* (premise interval contains the
-    query's interval for that attribute)."""
-    key = relation_name.lower()
-    if rule.rhs.attribute.relation.lower() != key:
+    constraints on the relation keyed *relation_key* (premise interval
+    contains the query's interval for that attribute)."""
+    if rule.rhs.attribute.key[0] != relation_key:
         return False
     for clause in rule.lhs:
-        if clause.attribute.relation.lower() != key:
+        relation, column = clause.attribute.key
+        if relation != relation_key:
             return False
-        constraint = intervals.get(clause.attribute.attribute.lower())
+        constraint = intervals.get(column)
         if constraint is None:
             return False
         if not clause.interval.contains(constraint):
@@ -81,20 +81,29 @@ def analyze(relation_name: str, intervals: dict[str, Interval],
     Only columns the query already constrains are tightened; attributes
     the rules mention but the query does not are left free, so the
     rewrite never invents restrictions the projection could observe.
+    Only rules with a premise on a constrained column can apply; a
+    tightened column puts the rules reading it back on the agenda.
     """
     current = dict(intervals)
     notes: list[SemanticNote] = []
     if rules is None or not len(rules) or not current:
         return SemanticResult(current, None, notes)
 
+    key = relation_name.lower()
     with obs.span("plan.semantic", relation=relation_name,
                   constraints=len(current)) as span:
+        agenda = RuleAgenda(rules, {
+            position for column in current
+            for position in rules.premise_positions((key, column))})
+        examined = 0
         for _pass in range(MAX_PASSES):
-            changed = False
-            for rule in rules:
-                if not _rule_applies(rule, relation_name, current):
+            if not agenda.next_round():
+                break
+            for rule in agenda:
+                examined += 1
+                if not _rule_applies(rule, key, current):
                     continue
-                column = rule.rhs.attribute.attribute.lower()
+                column = rule.rhs.attribute.key[1]
                 constraint = current.get(column)
                 if constraint is None:
                     continue  # unconstrained column: nothing to tighten
@@ -113,7 +122,7 @@ def analyze(relation_name: str, intervals: dict[str, Interval],
                                 "rule-driven planner rewrites by kind",
                                 kind="short_circuit").inc()
                     span.set(outcome="short_circuit",
-                             rule=f"R{rule.number}")
+                             rule=f"R{rule.number}", examined=examined)
                     return SemanticResult(current, message, notes)
                 if tightened != constraint:
                     current[column] = tightened
@@ -125,8 +134,6 @@ def analyze(relation_name: str, intervals: dict[str, Interval],
                     obs.counter("semantic_rewrites_total",
                                 "rule-driven planner rewrites by kind",
                                 kind="tighten").inc()
-                    changed = True
-            if not changed:
-                break
-        span.set(notes=len(notes))
+                    agenda.schedule(rules.premise_positions((key, column)))
+        span.set(notes=len(notes), examined=examined)
     return SemanticResult(current, None, notes)

@@ -15,8 +15,8 @@ This package provides:
   (grouped into rule schemes ``X --> Y``).
 * :mod:`~repro.rules.rule_relations` -- the relational encoding that lets
   knowledge relocate with the database.
-* :mod:`~repro.rules.subsumption` -- the clause-implication tests the
-  inference processor relies on.
+* :mod:`~repro.rules.subsumption` -- the rule-level subsumption test
+  rule-set minimization relies on.
 """
 
 from repro.rules.clause import AttributeRef, Clause, Interval

@@ -210,13 +210,15 @@ class AttributeRef:
     Matching is case-insensitive; the declared spelling is preserved.
     """
 
-    __slots__ = ("relation", "attribute")
+    __slots__ = ("relation", "attribute", "key")
 
     def __init__(self, relation: str, attribute: str):
         if not relation or not attribute:
             raise RuleError("attribute reference needs relation and name")
         self.relation = relation
         self.attribute = attribute
+        #: ``(relation, attribute)`` lowered: the matching and index key.
+        self.key = (relation.lower(), attribute.lower())
 
     @classmethod
     def parse(cls, text: str) -> "AttributeRef":
@@ -225,10 +227,6 @@ class AttributeRef:
             raise RuleError(
                 f"attribute reference {text!r} must be relation.attribute")
         return cls(relation, attribute)
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.relation.lower(), self.attribute.lower())
 
     def render(self) -> str:
         return f"{self.relation}.{self.attribute}"

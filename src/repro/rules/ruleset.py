@@ -5,12 +5,14 @@ rule set designated by the rule scheme X --> Y" (Section 5.2.1).  A
 :class:`RuleSet` is the whole knowledge base's rule collection; a
 :class:`RuleScheme` is one ``X --> Y`` group within it.  The set keeps
 lookup indexes by premise and consequence attribute, which the inference
-processor uses for forward and backward chaining respectively.
+processor uses for forward and backward chaining respectively, and the
+planner's semantic pass for its premise lookups.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from repro.rules.clause import AttributeRef
@@ -55,8 +57,10 @@ class RuleSet:
 
     def __init__(self, rules: Iterable[Rule] = ()):
         self._rules: list[Rule] = []
-        self._by_lhs: dict[tuple[str, str], list[Rule]] = {}
-        self._by_rhs: dict[tuple[str, str], list[Rule]] = {}
+        #: Attribute key -> ascending 0-based positions of the rules with
+        #: a premise (``_by_lhs``) or the consequence (``_by_rhs``) on it.
+        self._by_lhs: dict[tuple[str, str], list[int]] = {}
+        self._by_rhs: dict[tuple[str, str], list[int]] = {}
         #: Rule-base version: a process-unique integer reassigned on
         #: every :meth:`add`.  The query cache keys plan entries and
         #: intensional answers on it, so swapping in a re-induced rule
@@ -75,11 +79,14 @@ class RuleSet:
             self.add(rule)
 
     def add(self, rule: Rule) -> Rule:
-        rule.number = len(self._rules) + 1
+        position = len(self._rules)
+        rule.number = position + 1
         self._rules.append(rule)
         for clause in rule.lhs:
-            self._by_lhs.setdefault(clause.attribute.key, []).append(rule)
-        self._by_rhs.setdefault(rule.rhs.attribute.key, []).append(rule)
+            positions = self._by_lhs.setdefault(clause.attribute.key, [])
+            if not positions or positions[-1] != position:
+                positions.append(position)
+        self._by_rhs.setdefault(rule.rhs.attribute.key, []).append(position)
         self.version = next(_VERSIONS)
         return rule
 
@@ -101,13 +108,23 @@ class RuleSet:
             raise IndexError(f"no rule numbered {number}")
         return self._rules[number - 1]
 
+    def premise_positions(self, key: tuple[str, str]) -> Sequence[int]:
+        """Positions of the rules with a premise on attribute *key*."""
+        return self._by_lhs.get(key, ())
+
+    def conclusion_positions(self, key: tuple[str, str]) -> Sequence[int]:
+        """Positions of the rules concluding on attribute *key*."""
+        return self._by_rhs.get(key, ())
+
     def rules_with_premise_on(self, attribute: AttributeRef) -> list[Rule]:
-        """Rules having a premise clause on *attribute* (forward index)."""
-        return list(self._by_lhs.get(attribute.key, ()))
+        """Rules having a premise clause on *attribute*, in order."""
+        return [self._rules[at]
+                for at in self.premise_positions(attribute.key)]
 
     def rules_concluding_on(self, attribute: AttributeRef) -> list[Rule]:
-        """Rules whose consequence is on *attribute* (backward index)."""
-        return list(self._by_rhs.get(attribute.key, ()))
+        """Rules whose consequence is on *attribute*, in order."""
+        return [self._rules[at]
+                for at in self.conclusion_positions(attribute.key)]
 
     def premise_attributes(self) -> list[AttributeRef]:
         seen: dict[tuple[str, str], AttributeRef] = {}
@@ -195,3 +212,39 @@ class RuleSet:
 
     def __repr__(self) -> str:
         return f"<RuleSet {len(self._rules)} rules>"
+
+
+class RuleAgenda:
+    """Rule positions visited in rounds, each round in rule-number order.
+
+    A fixpoint loop visiting only the rules its index lookups yield must
+    check them in the order a scan of the whole set would: a position
+    scheduled mid-round joins the round when it comes after the rule
+    being visited, and the next round otherwise.
+    """
+
+    def __init__(self, rules: RuleSet, positions: Iterable[int]):
+        self._rules = rules._rules
+        self._next = set(positions)
+
+    def next_round(self) -> bool:
+        """Start the next round; False when it has no rules to visit."""
+        self._order, self._next, self._index = sorted(self._next), set(), 0
+        return bool(self._order)
+
+    def __iter__(self) -> Iterator[Rule]:
+        while self._index < len(self._order):
+            self._index += 1
+            yield self._rules[self._order[self._index - 1]]
+
+    def schedule(self, positions: Iterable[int]) -> None:
+        """Revisit *positions*: the rule being visited changed a fact
+        their premises read."""
+        current = self._order[self._index - 1]
+        for position in positions:
+            if position <= current:
+                self._next.add(position)
+                continue
+            at = bisect_left(self._order, position, self._index)
+            if self._order[at:at + 1] != [position]:
+                self._order.insert(at, position)

@@ -1,87 +1,15 @@
-"""Clause- and rule-level implication tests (the logic behind type
-inference).
+"""Rule-level subsumption (the logic behind rule-set minimization).
 
-Forward inference (Section 4) fires a rule when the *query condition* on
-an attribute is subsumed by the rule premise on that attribute -- e.g.
-``Displacement > 8000`` is subsumed by ``7250 <= Displacement <= 30000``
-once the attribute's declared domain bound (30000) is taken into account.
-These helpers implement that check, optionally widening rule premises to
-the attribute's domain interval.
+A rule is redundant when a more general rule fires whenever it does and
+concludes at least as much.  The clause-level check type inference
+makes -- a query condition subsumed by a rule premise, widened by the
+attribute's declared domain -- lives with the facts it reads, in
+:meth:`repro.inference.facts.FactBase.implies`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.rules.clause import AttributeRef, Clause, Interval
 from repro.rules.rule import Rule
-
-
-def interval_subsumes(premise: Interval, condition: Interval,
-                      domain: Interval | None = None) -> bool:
-    """Does *premise* contain *condition* (given an optional domain)?
-
-    When *domain* is supplied, the effective condition is the
-    intersection of *condition* with the domain interval -- this is how
-    the paper concludes that
-    ``Displacement > 8000`` implies membership in ``[7250, 30000]`` when
-    the schema declares ``Displacement in [2000..30000]``.
-    """
-    effective_condition = condition
-    if domain is not None:
-        narrowed = condition.intersect(domain)
-        if narrowed is None:
-            # The condition excludes every legal value; vacuously subsumed.
-            return True
-        effective_condition = narrowed
-    return premise.contains(effective_condition)
-
-
-def clause_subsumes(premise: Clause, condition: Clause,
-                    domains: Mapping[AttributeRef, Interval] | None = None
-                    ) -> bool:
-    """Clause-level subsumption: same attribute and interval containment."""
-    if premise.attribute != condition.attribute:
-        return False
-    domain = None
-    if domains is not None:
-        domain = domains.get(premise.attribute)
-    return interval_subsumes(premise.interval, condition.interval, domain)
-
-
-def rule_fires_forward(rule: Rule,
-                       conditions: Mapping[AttributeRef, Interval],
-                       domains: Mapping[AttributeRef, Interval] | None = None
-                       ) -> bool:
-    """Whether *rule*'s whole premise is implied by the query conditions.
-
-    Every premise clause must be subsumed: for attributes the query
-    constrains, the constraint interval must lie inside the premise
-    interval; premise clauses on unconstrained attributes block firing
-    (nothing guarantees them).
-    """
-    for clause in rule.lhs:
-        condition = conditions.get(clause.attribute)
-        if condition is None:
-            return False
-        domain = domains.get(clause.attribute) if domains else None
-        if not interval_subsumes(clause.interval, condition, domain):
-            return False
-    return True
-
-
-def rule_matches_backward(rule: Rule, attribute: AttributeRef,
-                          fact: Interval) -> bool:
-    """Whether *rule* concludes on *attribute* with a consequence interval
-    lying inside the established *fact* interval.
-
-    When it does, the rule's premise describes a subset of the answers
-    ("Ship Classes in the range 0101 to 0103 are SSBN"): any tuple
-    satisfying the premise is guaranteed to satisfy the fact.
-    """
-    if rule.rhs.attribute != attribute:
-        return False
-    return fact.contains(rule.rhs.interval)
 
 
 def rule_subsumed_by(general: Rule, specific: Rule) -> bool:

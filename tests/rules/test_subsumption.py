@@ -1,46 +1,78 @@
-"""Unit tests for subsumption/implication checks."""
+"""Unit tests for subsumption/implication checks.
 
+The clause- and rule-level checks type inference makes are exercised
+through the functions that make them: forward chaining fires a rule
+when the facts are subsumed by its premises, backward matching keeps a
+rule whose consequence lies inside a fact.
+"""
+
+from repro.inference.backward import backward_match
+from repro.inference.facts import FactBase
+from repro.inference.forward import forward_chain
 from repro.rules.clause import AttributeRef, Clause, Interval
 from repro.rules.rule import Rule
-from repro.rules.subsumption import (
-    clause_subsumes, interval_subsumes, rule_fires_forward,
-    rule_matches_backward, rule_subsumed_by,
-)
+from repro.rules.ruleset import RuleSet
+from repro.rules.subsumption import rule_subsumed_by
 
 DISP = AttributeRef("CLASS", "Displacement")
 TYPE = AttributeRef("CLASS", "Type")
+CLASS = AttributeRef("CLASS", "Class")
+
+
+def fires(rule, conditions, domains=None):
+    """Whether forward chaining over *rule* alone fires it, given the
+    query *conditions* (attribute -> interval) and declared *domains*."""
+    facts = FactBase(domains=domains)
+    for attribute, interval in conditions.items():
+        facts.add_condition(Clause(attribute, interval))
+    derivations = forward_chain(facts, RuleSet([rule]))
+    return [derivation.rule for derivation in derivations] == [rule]
+
+
+def matches(rule, attribute, fact):
+    """Whether backward matching over *rule* alone describes answers
+    whose *attribute* is established to lie in *fact*."""
+    facts = FactBase()
+    facts.add_condition(Clause(attribute, fact))
+    descriptions = backward_match(facts, RuleSet([rule]))
+    return [description.rule for description in descriptions] == [rule]
+
+
+def single(premise, attribute=DISP):
+    return Rule([Clause(attribute, premise)],
+                Clause(TYPE, Interval.point("SSBN")))
 
 
 class TestIntervalSubsumes:
     def test_plain_containment(self):
-        assert interval_subsumes(Interval.closed(1, 10),
-                                 Interval.closed(2, 9))
+        assert fires(single(Interval.closed(1, 10)),
+                     {DISP: Interval.closed(2, 9)})
 
     def test_paper_domain_widening(self):
-        premise = Interval.closed(7250, 30000)
-        condition = Interval.at_least(8000, strict=True)
-        domain = Interval.closed(2000, 30000)
-        assert not interval_subsumes(premise, condition)
-        assert interval_subsumes(premise, condition, domain)
+        rule = single(Interval.closed(7250, 30000))
+        condition = {DISP: Interval.at_least(8000, strict=True)}
+        domain = {DISP: Interval.closed(2000, 30000)}
+        assert not fires(rule, condition)
+        assert fires(rule, condition, domain)
 
     def test_condition_outside_domain_vacuous(self):
-        premise = Interval.closed(1, 2)
-        condition = Interval.at_least(99999)
-        domain = Interval.closed(0, 100)
-        assert interval_subsumes(premise, condition, domain)
+        assert fires(single(Interval.closed(1, 2)),
+                     {DISP: Interval.at_least(99999)},
+                     {DISP: Interval.closed(0, 100)})
 
 
 class TestClauseSubsumes:
     def test_requires_same_attribute(self):
-        premise = Clause(DISP, Interval.closed(1, 10))
-        condition = Clause(TYPE, Interval.point("SSN"))
-        assert not clause_subsumes(premise, condition)
+        assert not fires(single(Interval.closed(1, 10)),
+                         {TYPE: Interval.point("SSN")})
 
     def test_with_domains(self):
-        premise = Clause(DISP, Interval.closed(7250, 30000))
-        condition = Clause(DISP, Interval.at_least(8000, strict=True))
-        domains = {DISP: Interval.closed(2000, 30000)}
-        assert clause_subsumes(premise, condition, domains)
+        # The domain of another attribute does not widen the premise.
+        rule = single(Interval.closed(7250, 30000))
+        condition = {DISP: Interval.at_least(8000, strict=True)}
+        assert fires(rule, condition, {DISP: Interval.closed(2000, 30000)})
+        assert not fires(rule, condition,
+                         {CLASS: Interval.closed(2000, 30000)})
 
 
 class TestForwardFiring:
@@ -48,44 +80,36 @@ class TestForwardFiring:
                 Clause(TYPE, Interval.point("SSBN")))
 
     def test_fires_on_subsumed_condition(self):
-        conditions = {DISP: Interval.closed(9000, 10000)}
-        assert rule_fires_forward(self.RULE, conditions)
+        assert fires(self.RULE, {DISP: Interval.closed(9000, 10000)})
 
     def test_blocked_without_condition(self):
-        assert not rule_fires_forward(self.RULE, {})
+        assert not fires(self.RULE, {})
 
     def test_blocked_on_wider_condition(self):
-        conditions = {DISP: Interval.closed(5000, 10000)}
-        assert not rule_fires_forward(self.RULE, conditions)
+        assert not fires(self.RULE, {DISP: Interval.closed(5000, 10000)})
 
     def test_multi_premise_needs_all(self):
         rule = Rule([Clause(DISP, Interval.closed(1, 10)),
                      Clause(TYPE, Interval.point("SSN"))],
-                    Clause(AttributeRef("CLASS", "Class"),
-                           Interval.point("0201")))
-        assert not rule_fires_forward(
-            rule, {DISP: Interval.closed(2, 3)})
-        assert rule_fires_forward(
-            rule, {DISP: Interval.closed(2, 3),
-                   TYPE: Interval.point("SSN")})
+                    Clause(CLASS, Interval.point("0201")))
+        assert not fires(rule, {DISP: Interval.closed(2, 3)})
+        assert not fires(rule, {TYPE: Interval.point("SSN")})
+        assert fires(rule, {DISP: Interval.closed(2, 3),
+                            TYPE: Interval.point("SSN")})
 
 
 class TestBackwardMatching:
-    RULE = Rule([Clause(AttributeRef("CLASS", "Class"),
-                        Interval.closed("0101", "0103"))],
+    RULE = Rule([Clause(CLASS, Interval.closed("0101", "0103"))],
                 Clause(TYPE, Interval.point("SSBN")))
 
     def test_matches_point_fact(self):
-        assert rule_matches_backward(self.RULE, TYPE,
-                                     Interval.point("SSBN"))
+        assert matches(self.RULE, TYPE, Interval.point("SSBN"))
 
     def test_requires_fact_containing_consequence(self):
-        assert not rule_matches_backward(self.RULE, TYPE,
-                                         Interval.point("SSN"))
+        assert not matches(self.RULE, TYPE, Interval.point("SSN"))
 
     def test_requires_matching_attribute(self):
-        assert not rule_matches_backward(self.RULE, DISP,
-                                         Interval.point("SSBN"))
+        assert not matches(self.RULE, DISP, Interval.point("SSBN"))
 
 
 class TestRuleSubsumption:
