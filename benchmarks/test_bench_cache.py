@@ -14,8 +14,8 @@ hits both sides equally):
   (``enabled = False``) the pass-through path may also cost at most
   5% -- the knob must never punish users who turn the feature off.
 
-Correctness rides along: the cached result must equal the legacy
-executor's bag at morsel sizes 1 and default, and a hit must serve
+Correctness rides along: the cached result must equal the reference
+evaluator's bag at morsel sizes 1 and default, and a hit must serve
 the identical object without re-executing.
 """
 
@@ -27,8 +27,8 @@ from repro.cache import query_cache
 from repro.plan.planner import plan_select
 from repro.plan.stats import statistics
 from repro.reporting import render_table
-from repro.sql.executor import execute_select_legacy
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 from repro.testbed.generators import synthetic_star_database
 
 from conftest import record_report
@@ -87,12 +87,12 @@ def _interleaved(fn_a, fn_b, repeats=7):
 def test_cached_select_equivalent_at_all_batch_sizes(star_db):
     cache = query_cache(star_db)
     statement = parse_select(SCAN_JOIN_SQL)
-    legacy = execute_select_legacy(star_db, statement)
-    assert len(legacy) > 0
+    reference = execute_select_reference(star_db, statement)
+    assert len(reference) > 0
     for batch_size in (1, None):
         cache.clear()
         assert cache.execute_select(statement,
-                                    batch_size=batch_size) == legacy
+                                    batch_size=batch_size) == reference
     # And a hot hit serves the identical relation object.
     first = cache.execute_select(statement)
     assert cache.execute_select(statement) is first
@@ -180,7 +180,7 @@ def test_disabled_overhead_bounded(star_db):
     cache.enabled = False
     try:
         assert (cache.execute_select(statement)
-                == execute_select_legacy(star_db, statement))
+                == execute_select_reference(star_db, statement))
         uncached_s, bypass_s = _interleaved(
             lambda: _uncached(star_db, statement),
             lambda: cache.execute_select(statement), repeats=9)

@@ -7,8 +7,8 @@ defined against):
 
 * the selective scan+join of E22 runs at least
   :data:`SCAN_JOIN_TARGET` x faster on the columnar kernels than on the
-  streamed compiled *row* pipeline (and :data:`INTERPRETED_TARGET` x
-  faster than the materializing interpreted one);
+  streamed compiled *row* pipeline (and :data:`REFERENCE_TARGET` x
+  faster than the reference evaluator, :mod:`repro.sql.reference`);
 * ILS re-induction over a 20k-row classified relation -- the interval
   passes reduced over distinct-pair counts instead of row walks -- gains
   at least :data:`ILS_TARGET` x;
@@ -27,11 +27,11 @@ import pytest
 from repro.induction import InductionConfig
 from repro.induction.pairwise import induce_scheme
 from repro.plan.planner import plan_select
-from repro.plan.plans import UNBOUNDED
 from repro.plan.stats import statistics
-from repro.relational import columnar, compiled
+from repro.relational import columnar
 from repro.reporting import render_table
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 from repro.testbed.generators import (
     synthetic_classified_database, synthetic_star_database,
 )
@@ -53,7 +53,7 @@ POINT_SQL = "SELECT GroupId FROM ENTITY WHERE Id = 1234"
 #: Guard floors, calibrated per kernel backend (numpy reductions vs
 #: pure-Python array loops).
 SCAN_JOIN_TARGET = 4.0 if columnar.HAS_NUMPY else 1.3
-INTERPRETED_TARGET = 8.0 if columnar.HAS_NUMPY else 2.5
+REFERENCE_TARGET = 8.0 if columnar.HAS_NUMPY else 2.5
 ILS_TARGET = 2.0 if columnar.HAS_NUMPY else 1.2
 
 _RESULTS: dict[str, dict] = {}
@@ -77,19 +77,6 @@ def _run_row(database, statement):
     """The E22 streamed pipeline: compiled closures, row batches."""
     return _with_columnar(
         False, lambda: plan_select(database, statement).execute())
-
-
-def _run_interpreted(database, statement):
-    """The pre-refactor pipeline: interpreted, one batch, row store."""
-    def go():
-        assert compiled.ENABLED
-        try:
-            compiled.ENABLED = False
-            return plan_select(database, statement).execute(
-                batch_size=UNBOUNDED)
-        finally:
-            compiled.ENABLED = True
-    return _with_columnar(False, go)
 
 
 def _interleaved(fn_pre, fn_post, repeats=7):
@@ -127,9 +114,8 @@ def test_scan_join_columnar_speedup(benchmark, star_db):
 
     fused = _run_columnar(star_db, statement)
     rowwise = _run_row(star_db, statement)
-    interpreted = _run_interpreted(star_db, statement)
     assert list(fused.rows) == list(rowwise.rows)
-    assert list(fused.rows) == list(interpreted.rows)
+    assert fused == execute_select_reference(star_db, statement)
     assert 0 < len(fused) < N_ENTITIES / 2
 
     result = benchmark(lambda: _run_columnar(star_db, statement))
@@ -138,14 +124,14 @@ def test_scan_join_columnar_speedup(benchmark, star_db):
     row_s, columnar_s = _interleaved(
         lambda: _run_row(star_db, statement),
         lambda: _run_columnar(star_db, statement))
-    interpreted_s, _ = _interleaved(
-        lambda: _run_interpreted(star_db, statement),
+    reference_s, _ = _interleaved(
+        lambda: execute_select_reference(star_db, statement),
         lambda: _run_columnar(star_db, statement), repeats=3)
     _RESULTS["scan+join"] = {
         "row_s": row_s, "columnar_s": columnar_s,
-        "interpreted_s": interpreted_s,
+        "reference_s": reference_s,
         "speedup": row_s / columnar_s,
-        "speedup_vs_interpreted": interpreted_s / columnar_s,
+        "speedup_vs_reference": reference_s / columnar_s,
         "guard": f">= {SCAN_JOIN_TARGET}x vs streamed rows",
         "guard_passed": row_s / columnar_s >= SCAN_JOIN_TARGET,
     }
@@ -153,9 +139,9 @@ def test_scan_join_columnar_speedup(benchmark, star_db):
         f"expected >={SCAN_JOIN_TARGET}x from columnar kernels, got "
         f"{row_s / columnar_s:.2f}x ({row_s * 1000:.2f}ms rows vs "
         f"{columnar_s * 1000:.2f}ms columnar)")
-    assert interpreted_s / columnar_s >= INTERPRETED_TARGET, (
-        f"expected >={INTERPRETED_TARGET}x vs the interpreted pipeline, "
-        f"got {interpreted_s / columnar_s:.2f}x")
+    assert reference_s / columnar_s >= REFERENCE_TARGET, (
+        f"expected >={REFERENCE_TARGET}x vs the reference evaluator, "
+        f"got {reference_s / columnar_s:.2f}x")
 
 
 def test_point_lookup_overhead_bounded(benchmark, star_db):

@@ -44,7 +44,7 @@ def synth_db():
     database = synthetic_classified_database(
         n_rows=N_ROWS, n_classes=20, seed=7)
     statistics(database).table_stats("ITEM")
-    execute_select(database, parse_select(RANGE_SQL), use_planner=True)
+    execute_select(database, parse_select(RANGE_SQL))
     return database
 
 
@@ -107,7 +107,7 @@ def test_disabled_observability_is_free(benchmark, synth_db):
     query_cache(synth_db).enabled = False
 
     def run():
-        return execute_select(synth_db, statement, use_planner=True)
+        return execute_select(synth_db, statement)
 
     obs.disable()
     obs.reset()
@@ -169,7 +169,7 @@ def test_enabled_observability_records_the_workload(synth_db):
     obs.enable()
     obs.reset()
     try:
-        execute_select(synth_db, statement, use_planner=True)
+        execute_select(synth_db, statement)
         assert obs.metrics().value("select_path_total",
                                    path="planner") == 1
         assert obs.tracer().named("plan.node.")

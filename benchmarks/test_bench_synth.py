@@ -8,12 +8,15 @@ domain from :mod:`repro.synth` at scale (18k patients), whose value
 distributions, induced Severity->Triage interval rules and FK join
 shape were never tuned for these optimizations:
 
-* selective range scan: planner >= 2x over the legacy full scan;
+* selective range scan: planner >= 2x over the full scan of the
+  reference evaluator (:mod:`repro.sql.reference`);
 * semantic contradiction short-circuit (induced rules): >= 2x;
 * hot result-cache hit on the FK join: >= 10x over recompute.
 
-Equivalence with the legacy executor is asserted on every measured
-query, so a speedup can never come from a wrong answer.
+The planner side of the first two is timed as
+``plan_select(...).execute()``, never a query-cache hit.  Equivalence
+with the reference evaluator is asserted on every measured query, so a
+speedup can never come from a wrong answer.
 """
 
 import time
@@ -24,8 +27,8 @@ from repro.cache import query_cache
 from repro.plan.planner import plan_select
 from repro.plan.stats import statistics
 from repro.reporting import render_table
-from repro.sql.executor import execute_select, execute_select_legacy
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 from repro.synth import build_instance
 
 from conftest import record_report
@@ -64,7 +67,7 @@ def hospital():
     cache.floor_s = 0.0
     # Warm the planner's index/plan caches so the measurement compares
     # steady-state strategies, not one-off index builds.
-    execute_select(database, parse_select(RANGE_SQL), use_planner=True)
+    plan_select(database, parse_select(RANGE_SQL)).execute()
     return instance
 
 
@@ -91,24 +94,23 @@ def _guarded(label, fast_s, slow_s, target):
 def test_selective_range_speedup(benchmark, hospital):
     database = hospital.database
     statement = parse_select(RANGE_SQL)
-    planned = execute_select(database, statement, use_planner=True)
-    legacy = execute_select_legacy(database, statement)
-    assert planned == legacy
+    planned = plan_select(database, statement).execute()
+    reference = execute_select_reference(database, statement)
+    assert planned == reference
     assert 0 < len(planned) < len(database.relation("PATIENT")) / 10, (
         "query is meant to be selective")
 
-    result = benchmark(
-        lambda: execute_select(database, statement, use_planner=True))
-    assert result == legacy
+    result = benchmark(lambda: plan_select(database, statement).execute())
+    assert result == reference
 
-    legacy_s, planner_s = _interleaved(
-        lambda: execute_select_legacy(database, statement),
-        lambda: execute_select(database, statement, use_planner=True))
-    speedup = _guarded("selective range", planner_s, legacy_s,
+    naive_s, planner_s = _interleaved(
+        lambda: execute_select_reference(database, statement),
+        lambda: plan_select(database, statement).execute())
+    speedup = _guarded("selective range", planner_s, naive_s,
                        SPEEDUP_TARGET)
     assert speedup >= SPEEDUP_TARGET, (
         f"expected >={SPEEDUP_TARGET:.0f}x on hospital, got "
-        f"{speedup:.1f}x ({legacy_s * 1000:.2f}ms naive vs "
+        f"{speedup:.1f}x ({naive_s * 1000:.2f}ms naive vs "
         f"{planner_s * 1000:.2f}ms)")
 
 
@@ -121,25 +123,22 @@ def test_semantic_contradiction_speedup(benchmark, hospital):
                for note in planned_query.notes), (
         "induced hospital rules failed to produce the contradiction "
         f"short-circuit; notes: {planned_query.notes}")
-    planned = execute_select(database, statement, use_planner=True,
-                             rules=rules)
-    legacy = execute_select_legacy(database, statement)
-    assert planned == legacy and len(planned) == 0
+    planned = planned_query.execute()
+    reference = execute_select_reference(database, statement)
+    assert planned == reference and len(planned) == 0
 
     result = benchmark(
-        lambda: execute_select(database, statement, use_planner=True,
-                               rules=rules))
+        lambda: plan_select(database, statement, rules=rules).execute())
     assert len(result) == 0
 
-    legacy_s, planner_s = _interleaved(
-        lambda: execute_select_legacy(database, statement),
-        lambda: execute_select(database, statement, use_planner=True,
-                               rules=rules))
-    speedup = _guarded("semantic contradiction", planner_s, legacy_s,
+    naive_s, planner_s = _interleaved(
+        lambda: execute_select_reference(database, statement),
+        lambda: plan_select(database, statement, rules=rules).execute())
+    speedup = _guarded("semantic contradiction", planner_s, naive_s,
                        SPEEDUP_TARGET)
     assert speedup >= SPEEDUP_TARGET, (
         f"short-circuit only {speedup:.1f}x over the naive scan "
-        f"({legacy_s * 1000:.2f}ms vs {planner_s * 1000:.2f}ms)")
+        f"({naive_s * 1000:.2f}ms vs {planner_s * 1000:.2f}ms)")
 
 
 def test_hot_cache_speedup(benchmark, hospital):
@@ -148,7 +147,7 @@ def test_hot_cache_speedup(benchmark, hospital):
     statement = parse_select(JOIN_SQL)
     cache.clear()
     warm = cache.execute_select(statement)
-    assert warm == execute_select_legacy(database, statement)
+    assert warm == execute_select_reference(database, statement)
     assert len(warm) > 0
 
     result = benchmark(lambda: cache.execute_select(statement))

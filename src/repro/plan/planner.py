@@ -3,19 +3,19 @@
 The planner turns a parsed SELECT into a tree of plan nodes
 (:mod:`repro.plan.plans`):
 
-1. WHERE conjuncts are classified (shared with the legacy executor)
-   into per-binding filters, equi-join edges, and residual predicates.
-2. Per binding, single-column comparisons fold into interval
-   constraints; :mod:`repro.plan.semantic` proves them unsatisfiable
-   against the induced rules (short-circuit to an EmptyPlan) or
-   tightens them.
+1. WHERE conjuncts are classified (shared with the reference
+   evaluator) into per-binding filters, equi-join edges, and residual
+   predicates.
+2. Per binding, single-column comparisons with a literal of a
+   comparable type fold into interval constraints;
+   :mod:`repro.plan.semantic` proves them unsatisfiable against the
+   induced rules (short-circuit to an EmptyPlan) or tightens them.
 3. The access path per binding is chosen by estimated selectivity: a
    hash-index probe for equality, a sorted-index range scan for
    selective ranges, a table scan otherwise; unconsumed predicates
    stack as a FilterPlan.
 4. Joins are ordered greedily by estimated output cardinality (the
-   SimpleDB ``records_output``/``distinct_values`` cost shape) instead
-   of the legacy fixed connectivity order.
+   SimpleDB ``records_output``/``distinct_values`` cost shape).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.relational.expressions import (
     ColumnRef, Comparison, Expression, Literal,
 )
 from repro.relational.relation import Relation
-from repro.rules.clause import Interval
+from repro.rules.clause import Interval, comparison_interval
 from repro.rules.ruleset import RuleSet
 from repro.sql import ast
 from repro.sql.executor import Scope, classify_conjuncts
@@ -119,12 +119,12 @@ def plan_select(database: Database, statement: ast.SelectStmt,
 # -- access paths ----------------------------------------------------------
 
 
-def _interval_of(conjunct: Expression) -> tuple[str, Interval] | None:
-    """``(column, interval)`` when *conjunct* is a single-column
-    comparison against a non-NULL literal, else ``None``."""
+def _interval_of(conjunct: Expression, schema
+                 ) -> tuple[str, Interval] | None:
+    """``(column, interval)`` when *conjunct* compares a column of
+    *schema* with a literal an interval stands for (see
+    :func:`~repro.rules.clause.comparison_interval`), else ``None``."""
     if not isinstance(conjunct, Comparison):
-        return None
-    if conjunct.op not in ("=", "<", "<=", ">", ">="):
         return None
     if (isinstance(conjunct.left, Literal)
             and isinstance(conjunct.right, ColumnRef)):
@@ -132,10 +132,12 @@ def _interval_of(conjunct: Expression) -> tuple[str, Interval] | None:
     if not (isinstance(conjunct.left, ColumnRef)
             and isinstance(conjunct.right, Literal)):
         return None
-    if conjunct.right.value is None:
+    column = conjunct.left.column
+    interval = comparison_interval(
+        conjunct.op, schema.column(column).datatype, conjunct.right.value)
+    if interval is None:
         return None
-    return (conjunct.left.column.lower(),
-            Interval.from_comparison(conjunct.op, conjunct.right.value))
+    return column.lower(), interval
 
 
 def _access_path(scope: Scope, binding: str, conjunct_list, rules,
@@ -149,17 +151,13 @@ def _access_path(scope: Scope, binding: str, conjunct_list, rules,
     interval_exprs: dict[str, list[Expression]] = {}
     others: list[Expression] = []
     for conjunct in conjunct_list:
-        folded = _interval_of(conjunct)
+        folded = _interval_of(conjunct, relation.schema)
         if folded is None:
             others.append(conjunct)
             continue
         column, interval = folded
         if column in intervals:
-            try:
-                merged = intervals[column].intersect(interval)
-            except TypeError:  # incomparable literal types: leave as filter
-                others.append(conjunct)
-                continue
+            merged = intervals[column].intersect(interval)
             if merged is None:
                 reason = (f"contradictory predicates on "
                           f"{relation.name}.{column}: "

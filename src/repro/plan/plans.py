@@ -6,9 +6,8 @@ Plan class exposing cost-model accessors (``records_output``,
 *batch-at-a-time* (morsel-driven): every node implements
 :meth:`Plan._batches`, a generator yielding lists of at most
 ``batch_size`` aligned per-binding row tuples -- element ``i`` of an
-output tuple is the row contributed by ``bindings[i]``, exactly the
-intermediate shape the legacy executor's join pipeline uses, so the
-shared projection code consumes either path's output unchanged.
+output tuple is the row contributed by ``bindings[i]``, the shape the
+projection (:func:`~repro.sql.executor.project_statement`) consumes.
 
 Batches stream child to parent: a scan produces its next morsel only
 when the consumer asks, a filter evaluates its *compiled* predicates
@@ -149,13 +148,17 @@ def default_batch_size() -> int:
     value, naming both.  An unset/empty variable stays silent -- that
     is the normal configuration, not a mistake.
     """
+    raw = os.environ.get("REPRO_BATCH_SIZE", "")
+    if not raw.strip():
+        # The normal configuration, met on every stream start: skip the
+        # parse, whose ValueError would cost a few microseconds per query.
+        return DEFAULT_BATCH_SIZE
     import warnings
 
-    raw = os.environ.get("REPRO_BATCH_SIZE", "")
     try:
         value = int(raw)
     except ValueError:
-        if raw.strip() and raw not in _warned_batch_sizes:
+        if raw not in _warned_batch_sizes:
             _warned_batch_sizes.add(raw)
             warnings.warn(
                 f"REPRO_BATCH_SIZE={raw!r} is not an integer; using the "
@@ -169,14 +172,6 @@ def default_batch_size() -> int:
                 f"default batch size {DEFAULT_BATCH_SIZE}", stacklevel=2)
         return DEFAULT_BATCH_SIZE
     return value
-
-
-def _columnar_ready() -> bool:
-    """Whether fused columnar execution may engage: the columnar flag
-    is on AND predicate compilation is on (``compiled.ENABLED`` off
-    means "give me the interpreted pipeline end to end", which the
-    kernels would defeat)."""
-    return compiled.ENABLED and columnar.enabled()
 
 
 def _scan_filter_chain(plan: "Plan"):
@@ -460,20 +455,13 @@ class FilterPlan(Plan):
         resolve = compiled.slot_resolver(
             [(binding, self.scope.relations[binding].schema)
              for binding in self.bindings])
-
-        def interpreted(predicate):
-            return lambda rows: predicate.evaluate(
-                self.scope.environment(self.bindings, rows))
-
-        return [compiled.compile_predicate(
-                    predicate, resolve,
-                    fallback=lambda p=predicate: interpreted(p))
+        return [compiled.compile_expression(predicate, resolve)
                 for predicate in self.predicates]
 
     def _fused_selection(self):
         """``(rows, selection)`` via column kernels when this node tops
         a kernel-capable scan+filter chain, else ``None`` (row path)."""
-        if not _columnar_ready():
+        if not columnar.enabled():
             return None
         chain = _scan_filter_chain(self)
         if chain is None:
@@ -612,7 +600,7 @@ class HashJoinPlan(Plan):
         """Resolve the build (right) side through column kernels when it
         is a kernel-capable scan+filter chain over a single join key;
         ``None`` = build buckets from streamed right batches."""
-        if not _columnar_ready() or len(self.edges) != 1:
+        if not columnar.enabled() or len(self.edges) != 1:
             return None
         chain = _scan_filter_chain(self.right)
         if chain is None:
@@ -674,7 +662,7 @@ class HashJoinPlan(Plan):
     def _fused_probe(self, left_keys):
         """Resolve the probe (left) side through column kernels when it
         is a kernel-capable scan+filter chain; ``None`` = stream it."""
-        if not _columnar_ready():
+        if not columnar.enabled():
             return None
         chain = _scan_filter_chain(self.left)
         if chain is None:
@@ -819,8 +807,8 @@ class EmptyPlan(Plan):
 class ProjectPlan(Plan):
     """Root node: SELECT-list evaluation, grouping, ORDER BY, DISTINCT.
 
-    Delegates to the executor's shared projection so planned and legacy
-    execution produce identical relations.  The child's batches are fed
+    Delegates to the executor's projection (or, for the shapes it
+    covers, the vectorized fast path).  The child's batches are fed
     to the projection as a lazy row stream, so the joined intermediate
     is never materialized -- only the projected output rows (the result
     itself) accumulate here, which is the one permitted top-of-tree
@@ -847,7 +835,7 @@ class ProjectPlan(Plan):
         self.reset_actuals()
         start = time.perf_counter()
         result = None
-        if _columnar_ready():
+        if columnar.enabled():
             from repro.plan import vectorized
             result = vectorized.fast_result(self)
         if result is None:

@@ -104,18 +104,12 @@ def fast_project(project):
     columns = [_gathered(store, position, selection)
                for position in positions]
     rows = list(zip(*columns)) if columns else []
-    survivors = len(rows)
-    project.child.actual_rows = survivors
+    project.child.actual_rows = len(rows)
     if statement.order_by:
         sort_columns = [
             _gathered(store, schema.position(key.column), selection)
             for key in statement.order_by]
-        order = sorted(range(survivors),
-                       key=lambda i: tuple(
-                           (column[i] is None,
-                            column[i] if column[i] is not None else 0)
-                           for column in sort_columns))
-        rows = [rows[i] for i in order]
+        rows = _executor._sorted_rows(rows, list(zip(*sort_columns)))
     names = _executor._output_names(items)
     return _executor._plain_result(scope, statement, items, names, rows,
                                    project.result_name)

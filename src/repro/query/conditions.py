@@ -3,10 +3,11 @@
 The inference processor consumes the query's *conditions* (attribute-vs-
 constant comparisons become interval clauses) and its *join structure*
 (attribute-vs-attribute equalities become attribute equivalences, which
-extend the canonicalizer).  Disjunctions, negations and other forms the
-interval fact model cannot represent are reported as ``unused`` -- the
-extensional answer still honours them; the intensional answer simply
-does not exploit them.
+extend the canonicalizer).  Disjunctions, negations, comparisons with
+NULL or with a literal the column's values cannot be compared with, and
+other forms the interval fact model cannot represent are reported as
+``unused`` -- the extensional answer still honours them; the
+intensional answer simply does not exploit them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.relational.database import Database
 from repro.relational.expressions import (
     ColumnRef, Comparison, Expression, Literal, conjuncts,
 )
-from repro.rules.clause import AttributeRef, Clause, Interval
+from repro.rules.clause import AttributeRef, Clause, comparison_interval
 from repro.sql.ast import SelectStmt
 
 
@@ -76,12 +77,15 @@ def extract_conditions(database: Database,
             conjunct = conjunct.flipped()
             left, right = conjunct.left, conjunct.right
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            if conjunct.op == "!=":
-                unused.append(conjunct)  # not an interval
-                continue
-            clauses.append(Clause(
-                resolve(left),
-                Interval.from_comparison(conjunct.op, right.value)))
+            attribute = resolve(left)
+            datatype = database.relation(attribute.relation).schema.column(
+                attribute.attribute).datatype
+            interval = comparison_interval(conjunct.op, datatype,
+                                           right.value)
+            if interval is None:
+                unused.append(conjunct)
+            else:
+                clauses.append(Clause(attribute, interval))
             continue
         unused.append(conjunct)
 

@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import SchemaError
 from repro.relational import compiled
-from repro.relational.expressions import Environment, Expression
+from repro.relational.expressions import Expression
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 
@@ -32,11 +32,8 @@ def select(relation: Relation, predicate: Expression,
     qualifiers = [relation.schema.name]
     if qualifier:
         qualifiers.append(qualifier)
-    test = compiled.compile_predicate(
-        predicate,
-        compiled.schema_resolver(relation.schema, qualifiers),
-        fallback=lambda: lambda row: predicate.evaluate(
-            Environment.for_row(relation.schema, row, qualifier)))
+    test = compiled.compile_expression(
+        predicate, compiled.schema_resolver(relation.schema, qualifiers))
     rows = [row for row in relation.rows if test(row)]
     return Relation(relation.schema, rows, validated=True)
 

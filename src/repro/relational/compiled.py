@@ -8,8 +8,7 @@ the schema is fixed for the whole query, so every column reference can
 be resolved to a tuple position *once* and the tree collapsed into a
 closure over positional row access.  That is what this module does::
 
-    test = compile_predicate(expr, schema_resolver(schema, {"emp"}),
-                             fallback=...)
+    test = compile_expression(expr, schema_resolver(schema, {"emp"}))
     rows = [row for row in relation.rows if test(row)]
 
 Compiled closures reproduce the interpreter's semantics exactly:
@@ -20,13 +19,10 @@ difference is *when* resolution errors surface: the interpreter raises
 on the first row evaluated, the compiler at compile time (so even over
 an empty relation a predicate naming an unknown column is rejected).
 
-Compilation is structural over the known node types; an unknown
-:class:`Expression` subclass raises :class:`UnsupportedExpression` and
-callers fall back to interpretation, so extensions degrade gracefully
-instead of breaking.  The module flag :data:`ENABLED` forces the
-fallback everywhere -- benchmarks flip it to measure the pre-compilation
-pipeline, and tests use it to cross-check compiled against interpreted
-results.
+Compilation is structural over the eight node types of
+:mod:`repro.relational.expressions`, which are all the parser builds;
+the interpreted evaluator is the reference the planner is tested
+against (:mod:`repro.sql.reference`).
 """
 
 from __future__ import annotations
@@ -40,18 +36,8 @@ from repro.relational.expressions import (
 )
 from repro.relational.schema import RelationSchema
 
-#: Master switch.  ``False`` makes :func:`compile_predicate` and
-#: :func:`compile_expressions` return their interpreted fallbacks, which
-#: restores the pre-compilation execution pipeline end to end.
-ENABLED = True
-
 #: A resolver maps a ColumnRef to a getter closure ``row_like -> value``.
 Resolver = Callable[[ColumnRef], Callable[[Any], Any]]
-
-
-class UnsupportedExpression(Exception):
-    """Raised (internally) for expression nodes the compiler does not
-    know; callers catch it and fall back to interpretation."""
 
 
 def schema_resolver(schema: RelationSchema,
@@ -120,7 +106,7 @@ def compile_expression(expression: Expression,
                        resolve: Resolver) -> Callable[[Any], Any]:
     """Compile *expression* into a closure over positional row access.
 
-    Raises :class:`UnsupportedExpression` for unknown node types and
+    Raises :class:`TypeError` for node types it does not know and
     whatever the resolver raises for unresolvable column references.
     """
     if isinstance(expression, Literal):
@@ -178,49 +164,12 @@ def compile_expression(expression: Expression,
     if isinstance(expression, Not):
         operand = compile_expression(expression.operand, resolve)
         return lambda row: not operand(row)
-    raise UnsupportedExpression(type(expression).__name__)
-
-
-def compile_predicate(expression: Expression, resolve: Resolver,
-                      fallback: Callable[[], Callable[[Any], Any]]
-                      ) -> Callable[[Any], Any]:
-    """Compiled predicate over *expression*, or ``fallback()`` when the
-    tree contains unsupported nodes or :data:`ENABLED` is off.
-
-    *fallback* is a zero-argument factory (not the closure itself) so
-    the interpreted path's setup cost is only paid when actually taken.
-    """
-    if not ENABLED:
-        return fallback()
-    try:
-        return compile_expression(expression, resolve)
-    except UnsupportedExpression:
-        return fallback()
-
-
-def compile_expressions(expressions: Sequence[Expression],
-                        resolve: Resolver
-                        ) -> list[Callable[[Any], Any]] | None:
-    """Compile all of *expressions* or none: ``None`` signals the caller
-    to take its interpreted path wholesale (used by the shared
-    projection, where mixing compiled and interpreted items would build
-    the per-row environment anyway)."""
-    if not ENABLED:
-        return None
-    try:
-        return [compile_expression(expression, resolve)
-                for expression in expressions]
-    except UnsupportedExpression:
-        return None
+    raise TypeError(f"cannot compile {type(expression).__name__}")
 
 
 __all__ = [
-    "ENABLED",
     "Resolver",
-    "UnsupportedExpression",
     "compile_expression",
-    "compile_expressions",
-    "compile_predicate",
     "schema_resolver",
     "slot_resolver",
 ]

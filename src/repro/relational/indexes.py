@@ -11,9 +11,9 @@ probes rule sets by attribute.  Two index kinds cover those patterns:
 Indexes are snapshots: they index the rows present at construction time.
 Each snapshot records the relation's mutation version so staleness is
 detectable (:attr:`HashIndex.is_stale`), and :class:`IndexCache` -- held
-by the :class:`~repro.relational.database.Database` facade and shared by
-the query planner and the legacy executor -- rebuilds stale snapshots
-transparently instead of serving them.
+by the :class:`~repro.relational.database.Database` facade and used by
+the query planner -- rebuilds stale snapshots transparently instead of
+serving them.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import RuleError
+from repro.errors import RuleError, TypeMismatchError
+from repro.relational.datatypes import DataType, comparable, infer_type
 
 
 class Interval:
@@ -196,6 +197,27 @@ class Interval:
         lo = "(" if self.low_open else "["
         hi = ")" if self.high_open else "]"
         return f"Interval{lo}{self.low!r}, {self.high!r}{hi}"
+
+
+def comparison_interval(op: str, datatype: DataType,
+                        value: Any) -> Interval | None:
+    """The interval of ``column <op> value`` for a column of *datatype*,
+    or ``None`` when no interval stands for the comparison: *op* is
+    ``!=``, *value* is NULL (the comparison is never true), or *value*
+    cannot be compared with the column's values.  Evaluated row by row,
+    such a comparison raises its type error, so the planner keeps it a
+    predicate (no index probe, no folding) and inference leaves it
+    unused.
+    """
+    if op == "!=" or value is None:
+        return None
+    try:
+        literal_type = infer_type(value)
+    except TypeMismatchError:
+        return None
+    if not comparable(datatype, literal_type):
+        return None
+    return Interval.from_comparison(op, value)
 
 
 def _fmt(value: Any) -> str:

@@ -16,9 +16,8 @@ comparisons] [ORDER BY cols]``, table aliases, ``*``, ``AS`` aliases.
 """
 
 from repro.sql.parser import parse_select, parse_statement
-from repro.sql.executor import (
-    execute_select, execute_select_legacy, execute_sql, execute_statement,
-)
+from repro.sql.executor import execute_select, execute_sql, execute_statement
+from repro.sql.reference import execute_select_reference
 from repro.sql.fingerprint import normalize_sql
 from repro.sql import ast
 
@@ -27,7 +26,7 @@ __all__ = [
     "parse_statement",
     "execute_sql",
     "execute_select",
-    "execute_select_legacy",
+    "execute_select_reference",
     "execute_statement",
     "normalize_sql",
     "ast",

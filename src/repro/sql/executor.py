@@ -1,16 +1,15 @@
-"""Executor for the SQL SELECT subset.
+"""Executor for the SQL subset.
 
-SELECT statements are normally routed through the cost-based query
-planner (:mod:`repro.plan`), which consults per-relation statistics,
-picks index access paths, orders joins by estimated cardinality, and
-applies rule-driven semantic optimization.  The original heuristic
-pipeline is kept as the *legacy* path (``use_planner=False`` or
-:data:`USE_PLANNER`): WHERE conjuncts are classified into per-table
-filters (pushed down before joining, with a hash-index fast path for
-equality filters), equi-join edges (executed as hash joins in
-connectivity order), and residual predicates (evaluated on the joined
-rows).  The two paths share the scope, conjunct-classification, and
-projection machinery below, so they are cross-checkable row for row.
+SELECT statements run through the cost-based query planner
+(:mod:`repro.plan`), behind the version-aware query cache; the planner
+consults per-relation statistics, picks index access paths, orders
+joins by estimated cardinality, and applies rule-driven semantic
+optimization.  This module holds what the planner and the reference
+evaluator (:mod:`repro.sql.reference`) share: the FROM scope, WHERE
+conjunct classification, and the validation and output typing of the
+projection.  The planner's projection itself
+(:func:`project_statement`) evaluates compiled closures.  DML
+(INSERT/DELETE/UPDATE) runs here directly.
 """
 
 from __future__ import annotations
@@ -21,22 +20,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 from repro import obs
 from repro.errors import SqlError
-from repro.relational import columnar, compiled, kernels
+from repro.relational import compiled
 from repro.relational.database import Database
 from repro.relational.datatypes import infer_type, INTEGER, REAL
 from repro.relational.expressions import (
-    ColumnRef, Comparison, Environment, Expression, Literal, conjuncts,
+    ColumnRef, Comparison, Environment, Expression, conjuncts,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.sql import ast
 from repro.sql.parser import parse_select
-
-#: Default SELECT execution path.  ``True`` routes through the
-#: cost-based planner in :mod:`repro.plan`; ``False`` restores the
-#: legacy heuristic executor.  Either way the per-call
-#: ``use_planner=`` argument wins.
-USE_PLANNER = True
 
 
 def execute_sql(database: Database, text: str,
@@ -133,10 +126,9 @@ def _row_env(relation: Relation, row: tuple):
 
 def _where_test(relation: Relation, where: Expression):
     """Compiled row predicate for a single-relation WHERE clause."""
-    return compiled.compile_predicate(
+    return compiled.compile_expression(
         where,
-        compiled.schema_resolver(relation.schema, [relation.schema.name]),
-        fallback=lambda: lambda row: where.evaluate(_row_env(relation, row)))
+        compiled.schema_resolver(relation.schema, [relation.schema.name]))
 
 
 def _execute_delete(database: Database, statement: ast.DeleteStmt) -> int:
@@ -169,44 +161,26 @@ def _execute_update(database: Database, statement: ast.UpdateStmt) -> int:
 
 def execute_select(database: Database, statement: ast.SelectStmt,
                    result_name: str = "result",
-                   use_planner: bool | None = None,
                    rules=None) -> Relation:
-    """Execute a parsed SELECT statement.
+    """Execute a parsed SELECT statement through the planner.
 
-    With ``use_planner`` unset, :data:`USE_PLANNER` decides the path.
     *rules* (a :class:`~repro.rules.ruleset.RuleSet`) enables the
-    planner's semantic optimization; the legacy path ignores it.
+    planner's semantic optimization.  Repeated statements reuse the
+    cached plan, and expensive results are served from the result cache
+    while the relations they touched are unchanged (``REPRO_CACHE=off``
+    makes the cache a plain pass-through to ``plan_select``).
     """
-    if use_planner is None:
-        use_planner = USE_PLANNER
+    from repro.cache.core import query_cache
     start = time.perf_counter()
-    if use_planner:
-        # The planner path goes through the version-aware query cache:
-        # repeated statements reuse the compiled plan, and expensive
-        # results are served straight from the result cache while the
-        # relations they touched are unchanged (REPRO_CACHE=off makes
-        # this a plain pass-through to plan_select).
-        from repro.cache.core import query_cache
-        result = query_cache(database).execute_select(
-            statement, rules=rules, result_name=result_name)
-    else:
-        result = execute_select_legacy(database, statement, result_name)
+    result = query_cache(database).execute_select(
+        statement, rules=rules, result_name=result_name)
     if obs.enabled():
         duration = time.perf_counter() - start
         obs.counter("select_path_total", "SELECT executions by path",
-                    path="planner" if use_planner else "legacy").inc()
+                    path="planner").inc()
         obs.observe_query(statement.render(), duration,
                           rows=len(result))
     return result
-
-
-def execute_select_legacy(database: Database, statement: ast.SelectStmt,
-                          result_name: str = "result") -> Relation:
-    """The pre-planner heuristic pipeline (kept for cross-checking)."""
-    scope = Scope(database, statement.tables)
-    combined = _join(scope, statement.where)
-    return project_statement(scope, statement, combined.bindings,
-                             combined.rows, result_name)
 
 
 class Scope:
@@ -265,7 +239,8 @@ class ConjunctClasses(NamedTuple):
 def classify_conjuncts(scope: Scope,
                        where: Expression | None) -> ConjunctClasses:
     """Classify WHERE conjuncts into per-binding filters, equi-join
-    edges, and residual predicates (shared by both executor paths)."""
+    edges, and residual predicates (shared by the planner and the
+    reference evaluator)."""
     filters: dict[str, list[Expression]] = {b: [] for b in scope.bindings}
     edges: list[tuple[str, str, str, str]] = []
     residual: list[Expression] = []
@@ -289,179 +264,6 @@ def classify_conjuncts(scope: Scope,
     return ConjunctClasses(filters, edges, residual)
 
 
-def equality_probe(conjunct: Expression) -> tuple[str, object] | None:
-    """``(column, value)`` when *conjunct* is ``column = literal`` (either
-    operand order), else ``None``.  NULL literals never match anything
-    under comparison semantics, so they are not probes."""
-    if not (isinstance(conjunct, Comparison) and conjunct.op == "="):
-        return None
-    if (isinstance(conjunct.left, Literal)
-            and isinstance(conjunct.right, ColumnRef)):
-        conjunct = conjunct.flipped()
-    if (isinstance(conjunct.left, ColumnRef)
-            and isinstance(conjunct.right, Literal)
-            and conjunct.right.value is not None):
-        return conjunct.left.column, conjunct.right.value
-    return None
-
-
-def _filtered_rows(scope: Scope, binding: str,
-                   predicates: list[Expression]) -> list[tuple]:
-    """Pushed-down filters for one binding, probing a cached
-    :class:`HashIndex` for the first ``column = literal`` conjunct
-    instead of scanning the whole relation.  Remaining predicates are
-    compiled once into positional closures (interpreted per-row
-    environments only as a fallback)."""
-    relation = scope.relations[binding]
-    rows: Sequence[tuple] = relation.rows
-    remaining = list(predicates)
-    probed = False
-    for conjunct in remaining:
-        probe = equality_probe(conjunct)
-        if probe is not None:
-            column, value = probe
-            index = scope.database.indexes.hash_index(relation, column)
-            rows = index.lookup(value)
-            remaining.remove(conjunct)
-            probed = True
-            break
-    if (remaining and not probed and compiled.ENABLED
-            and columnar.enabled()):
-        # Vectorized fast path: evaluate the conjunction as column
-        # kernels over the relation's store and gather survivors.  An
-        # index probe already shrank ``rows`` to a subset the store
-        # cannot address, so kernels only engage on full scans.
-        try:
-            store = relation.column_store()
-            selection = kernels.to_selection(kernels.predicate_mask(
-                store, remaining, [binding]))
-        except kernels.UnsupportedKernel:
-            pass
-        else:
-            if selection is None:
-                return list(store.rows)
-            store_rows = store.rows
-            return [store_rows[i] for i in selection]
-    resolve = compiled.schema_resolver(relation.schema, [binding])
-    for predicate in remaining:
-        test = compiled.compile_predicate(
-            predicate, resolve,
-            fallback=lambda p=predicate: lambda row: p.evaluate(
-                _single_env(scope, binding, row)))
-        rows = [row for row in rows if test(row)]
-    return list(rows)
-
-
-def _join(scope: Scope, where: Expression | None) -> "_Combined":
-    """Join every FROM binding, using classified WHERE conjuncts."""
-    filters, edges, residual = classify_conjuncts(scope, where)
-    residual = list(residual)
-
-    # Pre-filter each relation.
-    filtered: dict[str, list[tuple]] = {}
-    for binding in scope.bindings:
-        filtered[binding] = _filtered_rows(scope, binding,
-                                           filters[binding])
-
-    combined = _Combined(scope, [scope.bindings[0]],
-                         [(row,) for row in filtered[scope.bindings[0]]])
-    remaining = list(scope.bindings[1:])
-    pending_edges = list(edges)
-    while remaining:
-        progressed = False
-        for binding in list(remaining):
-            usable = [edge for edge in pending_edges
-                      if _edge_connects(edge, combined.bindings, binding)]
-            if usable:
-                combined = combined.hash_join(binding, filtered[binding],
-                                              usable)
-                pending_edges = [e for e in pending_edges if e not in usable]
-                remaining.remove(binding)
-                progressed = True
-                break
-        if not progressed:
-            binding = remaining.pop(0)
-            combined = combined.cross(binding, filtered[binding])
-
-    # Any join edges between already-joined tables that were not used as
-    # hash keys (e.g. cycles) become residual predicates.
-    for bind_a, col_a, bind_b, col_b in pending_edges:
-        residual.append(Comparison(
-            "=", ColumnRef(col_a, bind_a), ColumnRef(col_b, bind_b)))
-
-    if residual:
-        resolve = compiled.slot_resolver(
-            [(binding, scope.relations[binding].schema)
-             for binding in combined.bindings])
-        tests = [compiled.compile_predicate(
-                     predicate, resolve,
-                     fallback=lambda p=predicate: lambda rows: p.evaluate(
-                         scope.environment(combined.bindings, rows)))
-                 for predicate in residual]
-        combined.rows = [rows for rows in combined.rows
-                         if all(test(rows) for test in tests)]
-    return combined
-
-
-def _edge_connects(edge: tuple[str, str, str, str],
-                   joined: Sequence[str], candidate: str) -> bool:
-    bind_a, _col_a, bind_b, _col_b = edge
-    return ((bind_a in joined and bind_b == candidate)
-            or (bind_b in joined and bind_a == candidate))
-
-
-def _single_env(scope: Scope, binding: str, row: tuple) -> Environment:
-    env = Environment()
-    env.bind(binding, scope.relations[binding].schema, row)
-    env.bind("", scope.relations[binding].schema, row)
-    return env
-
-
-class _Combined:
-    """Intermediate join state: per-binding row tuples, aligned."""
-
-    def __init__(self, scope: Scope, bindings: list[str],
-                 rows: list[tuple]):
-        self.scope = scope
-        self.bindings = bindings
-        self.rows = rows
-
-    def hash_join(self, binding: str, new_rows: list[tuple],
-                  edges: list[tuple[str, str, str, str]]) -> "_Combined":
-        # Normalize edges so the existing side comes first.
-        keys: list[tuple[int, int, int]] = []  # (slot, col_pos_old, col_pos_new)
-        new_schema = self.scope.relations[binding].schema
-        for bind_a, col_a, bind_b, col_b in edges:
-            if bind_b == binding:
-                old_bind, old_col, new_col = bind_a, col_a, col_b
-            else:
-                old_bind, old_col, new_col = bind_b, col_b, col_a
-            slot = self.bindings.index(old_bind)
-            old_pos = self.scope.relations[old_bind].schema.position(old_col)
-            keys.append((slot, old_pos, new_schema.position(new_col)))
-
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in new_rows:
-            key = tuple(row[new_pos] for _s, _o, new_pos in keys)
-            if any(value is None for value in key):
-                continue
-            buckets.setdefault(key, []).append(row)
-
-        out: list[tuple] = []
-        for rows in self.rows:
-            key = tuple(rows[slot][old_pos] for slot, old_pos, _n in keys)
-            if any(value is None for value in key):
-                continue
-            for match in buckets.get(key, ()):
-                out.append(rows + (match,))
-        return _Combined(self.scope, self.bindings + [binding], out)
-
-    def cross(self, binding: str, new_rows: list[tuple]) -> "_Combined":
-        out = [rows + (row,)
-               for rows in self.rows for row in new_rows]
-        return _Combined(self.scope, self.bindings + [binding], out)
-
-
 def project_statement(scope: Scope, statement: ast.SelectStmt,
                       bindings: Sequence[str], rows: Iterable[tuple],
                       result_name: str) -> Relation:
@@ -471,8 +273,9 @@ def project_statement(scope: Scope, statement: ast.SelectStmt,
     *rows* may be any single-pass iterable -- in particular the lazy
     batch stream of a plan tree -- and is consumed exactly once.
 
-    Shared by the legacy executor and the planner's ProjectPlan so both
-    paths produce byte-identical relations.
+    The planner's :class:`~repro.plan.plans.ProjectPlan` runs it over
+    the plan tree's output; SELECT-list items, sort and group keys and
+    aggregate operands are compiled once into positional closures.
     """
     if statement.has_aggregates() or statement.group_by:
         return _project_grouped(scope, statement, bindings, rows,
@@ -548,45 +351,39 @@ def _project(scope: Scope, statement: ast.SelectStmt,
     names = _output_names(items)
     rows: list[tuple] = []
     sort_values: list[tuple] = []
-    # Compile the SELECT list and sort keys into positional closures;
-    # all-or-none, since a single interpreted item needs the per-row
-    # environment built anyway.
     resolve = _slot_resolver(scope, bindings)
-    item_fns = compiled.compile_expressions(
-        [item.expression for item in items], resolve)
-    order_fns = compiled.compile_expressions(
-        list(statement.order_by), resolve)
-    if item_fns is not None and order_fns is not None:
-        for row_group in input_rows:
-            rows.append(tuple(fn(row_group) for fn in item_fns))
-            if order_fns:
-                sort_values.append(tuple(
-                    fn(row_group) for fn in order_fns))
-    else:
-        for row_group in input_rows:
-            env = scope.environment(bindings, row_group)
-            rows.append(tuple(item.expression.evaluate(env)
-                              for item in items))
-            if statement.order_by:
-                sort_values.append(tuple(
-                    key.evaluate(env) for key in statement.order_by))
+    item_fns = [compiled.compile_expression(item.expression, resolve)
+                for item in items]
+    order_fns = [compiled.compile_expression(key, resolve)
+                 for key in statement.order_by]
+    for row_group in input_rows:
+        rows.append(tuple(fn(row_group) for fn in item_fns))
+        if order_fns:
+            sort_values.append(tuple(fn(row_group) for fn in order_fns))
 
-    if statement.order_by:
-        order = sorted(range(len(rows)),
-                       key=lambda i: tuple(
-                           (v is None, v if v is not None else 0)
-                           for v in sort_values[i]))
-        rows = [rows[i] for i in order]
+    if order_fns:
+        rows = _sorted_rows(rows, sort_values)
 
     return _plain_result(scope, statement, items, names, rows, result_name)
 
 
+def _sorted_rows(rows: list[tuple], sort_values: list[tuple]) -> list[tuple]:
+    """*rows* ordered by their ORDER BY *sort_values*: NULLs last, ties
+    in input order."""
+    order = sorted(range(len(rows)),
+                   key=lambda i: tuple((v is None, v if v is not None else 0)
+                                       for v in sort_values[i]))
+    return [rows[i] for i in order]
+
+
 def _validate_grouped(scope: Scope,
                       statement: ast.SelectStmt) -> list[Expression]:
-    """Up-front validation shared by the grouped projection and the
-    vectorized aggregate fast path: star/aggregate mixing, the
-    syntactic GROUP BY membership check, and reference resolution.
-    Returns the GROUP BY expressions."""
+    """Up-front validation shared by the grouped projection, the
+    vectorized aggregate fast path and the reference evaluator:
+    star/aggregate mixing, the syntactic GROUP BY membership check, and
+    resolution of every SELECT, GROUP BY and ORDER BY reference (so an
+    unknown sort column raises :class:`SqlError` even over an empty
+    input).  Returns the GROUP BY expressions."""
     if statement.star:
         raise SqlError("SELECT * cannot be combined with aggregates")
     group_exprs = list(statement.group_by)
@@ -602,7 +399,7 @@ def _validate_grouped(scope: Scope,
     for item in statement.items:
         for ref in item.expression.references():
             scope.resolve(ref)
-    for expression in group_exprs:
+    for expression in (*group_exprs, *statement.order_by):
         for ref in expression.references():
             scope.resolve(ref)
     return group_exprs
@@ -657,75 +454,51 @@ def _project_grouped(scope: Scope, statement: ast.SelectStmt,
     resolve = _slot_resolver(scope, bindings)
     groups: dict[tuple, list[tuple]] = {}
     order: list[tuple] = []
-    group_fns = compiled.compile_expressions(group_exprs, resolve)
-    if group_fns is not None:
-        for row_group in input_rows:
-            key = tuple(fn(row_group) for fn in group_fns)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row_group)
-    else:
-        for row_group in input_rows:
-            env = scope.environment(bindings, row_group)
-            key = tuple(e.evaluate(env) for e in group_exprs)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row_group)
+    group_fns = [compiled.compile_expression(expression, resolve)
+                 for expression in group_exprs]
+    for row_group in input_rows:
+        key = tuple(fn(row_group) for fn in group_fns)
+        if key not in groups:
+            groups[key] = []
+            order.append(key)
+        groups[key].append(row_group)
     if not group_exprs and not order:
         groups[()] = []
         order.append(())
 
-    # Compile each aggregate operand once (per item, not per member row);
-    # None entries take the interpreted per-member environment path.
-    operand_fns: dict[int, object] = {}
-    for index, item in enumerate(statement.items):
-        if item.is_aggregate() and item.expression.operand is not None:
-            fns = compiled.compile_expressions(
-                [item.expression.operand], resolve)
-            operand_fns[index] = fns[0] if fns else None
+    # Compile each item once: an aggregate's operand (None for
+    # COUNT(*)), else the item itself, evaluated on the group's first
+    # row like the sort keys.
+    item_fns = []
+    for item in statement.items:
+        expression = item.expression
+        if item.is_aggregate():
+            expression = expression.operand
+        item_fns.append(None if expression is None
+                        else compiled.compile_expression(expression, resolve))
+    order_fns = [compiled.compile_expression(key, resolve)
+                 for key in statement.order_by]
 
     names = _output_names(statement.items)
     rows: list[tuple] = []
+    sort_values: list[tuple] = []
     for key in order:
         members = groups[key]
         out: list = []
-        representative = members[0] if members else None
-        env = (scope.environment(bindings, representative)
-               if representative is not None else None)
-        for index, item in enumerate(statement.items):
+        for item, fn in zip(statement.items, item_fns):
             if not item.is_aggregate():
-                out.append(item.expression.evaluate(env))
-                continue
-            call: ast.AggregateCall = item.expression
-            if call.operand is None:
+                out.append(fn(members[0]))
+            elif fn is None:
                 out.append(len(members))
-                continue
-            fn = operand_fns.get(index)
-            if fn is not None:
-                values = [fn(row_group) for row_group in members]
             else:
-                values = [call.operand.evaluate(
-                              scope.environment(bindings, row_group))
-                          for row_group in members]
-            out.append(_fold_sql_aggregate(call, values))
+                out.append(_fold_sql_aggregate(
+                    item.expression, [fn(row_group) for row_group in members]))
         rows.append(tuple(out))
-
-    if statement.order_by:
-        def sort_key(pair):
-            key, _row = pair
-            env = (scope.environment(bindings, groups[key][0])
-                   if groups[key] else None)
-            values = []
-            for expression in statement.order_by:
-                value = expression.evaluate(env) if env else None
-                values.append((value is None,
-                               value if value is not None else 0))
-            return tuple(values)
-
-        paired = sorted(zip(order, rows), key=sort_key)
-        rows = [row for _key, row in paired]
+        if order_fns:
+            sort_values.append(tuple(fn(members[0]) if members else None
+                                     for fn in order_fns))
+    if order_fns:
+        rows = _sorted_rows(rows, sort_values)
 
     return _grouped_result(scope, statement, names, rows, result_name)
 

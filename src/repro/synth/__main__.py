@@ -3,7 +3,7 @@
 ::
 
     python -m repro.synth --domains hospital,ontology --seeds 0-9 \\
-        --statements 40 --configs legacy,planner-rules,server \\
+        --statements 40 --configs reference,planner-rules,server \\
         --corpus-dir tests/differential/corpus --artifact-dir out/
 
     python -m repro.synth --chaos --fault-seeds 0-24 --chaos-rate 0.15

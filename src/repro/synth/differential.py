@@ -1,15 +1,16 @@
 """Cross-engine differential testing over synthetic workloads.
 
 Every statement of a generated program is replayed through several
-independently configured engines -- legacy executor vs cost-based
-planner, semantic optimization on/off, compiled vs interpreted
-predicates, streaming batch sizes {1, 7, default, UNBOUNDED}, result
-cache on/off, and the direct call path vs the server wire path -- and
-the per-statement outcomes plus the final database state must agree
-bit-for-bit.  A disagreement is a :class:`Divergence`;
-:func:`minimize` delta-debugs the statement list down to a minimal
-reproducer, and :mod:`tests.differential` pins minimized cases from
-``tests/differential/corpus/`` as regression tests.
+independently configured engines -- the reference evaluator
+(:mod:`repro.sql.reference`) vs the cost-based planner, semantic
+optimization on/off, streaming batch sizes {1, 7, default, UNBOUNDED},
+result cache on/off, columnar store on/off, and the direct call path
+vs the server wire path -- and the per-statement outcomes plus the
+final database state must agree bit-for-bit.  A disagreement is a
+:class:`Divergence`; :func:`minimize` delta-debugs the statement list
+down to a minimal reproducer, and :mod:`tests.differential` pins
+minimized cases from ``tests/differential/corpus/`` as regression
+tests.
 
 Beyond plain result equality the harness checks metamorphic
 invariants that need no oracle:
@@ -31,12 +32,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.relational import columnar, compiled
+from repro.relational import columnar
 from repro.relational.expressions import ColumnRef
 from repro.relational.relation import Relation
 from repro.sql import ast
-from repro.sql.executor import execute_select_legacy, execute_statement
+from repro.sql.executor import execute_statement
 from repro.sql.parser import parse_statement
+from repro.sql.reference import execute_select_reference
 from repro.synth.domains import SynthInstance, build_instance
 from repro.synth.workload import (
     Statement, _digest, generate_program, rows_fingerprint,
@@ -82,20 +84,17 @@ class EngineSession:
     """One configured engine replaying a statement program."""
 
     def __init__(self, instance: SynthInstance, *,
-                 use_planner: bool = True,
+                 reference: bool = False,
                  with_rules: bool = False,
                  reinduce_after_dml: bool = False,
-                 compiled_predicates: bool = True,
                  cache_enabled: bool = False,
                  batch_size: int | None = None,
                  columnar_enabled: bool | None = None):
         self.instance = instance
-        self.use_planner = use_planner
+        self.reference = reference
         self.with_rules = with_rules
         self.reinduce_after_dml = reinduce_after_dml
         self.batch_size = batch_size
-        self._compiled_before = compiled.ENABLED
-        compiled.ENABLED = compiled_predicates
         self._columnar_before = columnar.FORCED
         columnar.set_enabled(columnar_enabled)
         from repro.cache.core import query_cache
@@ -110,12 +109,12 @@ class EngineSession:
         try:
             parsed = parse_statement(statement.sql)
             if isinstance(parsed, ast.SelectStmt):
-                if self.use_planner:
+                if self.reference:
+                    result = execute_select_reference(database, parsed)
+                else:
                     result = self._cache.execute_select(
                         parsed, rules=self._rules(),
                         batch_size=self.batch_size)
-                else:
-                    result = execute_select_legacy(database, parsed)
                 return canonical_relation(result)
             value = execute_statement(database, statement.sql)
             if self.reinduce_after_dml:
@@ -128,7 +127,6 @@ class EngineSession:
         return rows_fingerprint(self.instance)
 
     def close(self) -> None:
-        compiled.ENABLED = self._compiled_before
         columnar.set_enabled(self._columnar_before)
 
 
@@ -184,8 +182,9 @@ def _register(name: str, description: str, factory) -> None:
     CONFIGS[name] = EngineConfig(name, description, factory)
 
 
-_register("legacy", "pre-planner heuristic pipeline",
-          lambda instance: EngineSession(instance, use_planner=False))
+_register("reference", "nested-loop reference evaluator: interpreted "
+          "expressions, no index, kernel, compiled closure or plan node",
+          lambda instance: EngineSession(instance, reference=True))
 _register("planner", "cost-based planner, no rules, cache off",
           lambda instance: EngineSession(instance))
 _register("planner-rules",
@@ -196,9 +195,6 @@ _register("planner-reinduce",
           "planner with rules re-induced after every DML statement",
           lambda instance: EngineSession(instance, with_rules=True,
                                          reinduce_after_dml=True))
-_register("interpreted", "planner with compiled predicates disabled",
-          lambda instance: EngineSession(instance,
-                                         compiled_predicates=False))
 _register("batch-1", "planner streaming one row per morsel",
           lambda instance: EngineSession(instance, batch_size=1))
 _register("batch-7", "planner streaming seven rows per morsel",
@@ -218,9 +214,9 @@ _register("server", "statements shipped over the wire protocol",
           ServerSession)
 
 #: The default matrix: one representative per engine dimension.
-DEFAULT_CONFIGS = ("legacy", "planner", "planner-rules", "interpreted",
-                   "batch-1", "unbounded", "cached", "columnar",
-                   "columnar-off", "server")
+DEFAULT_CONFIGS = ("reference", "planner", "planner-rules", "batch-1",
+                   "unbounded", "cached", "columnar", "columnar-off",
+                   "server")
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +341,8 @@ def check_intensional_consistency(domain: str, seed: int, sql: str, *,
 
     For every forward answer with a value conclusion C over an
     attribute of a FROM relation, re-runs the qualification through the
-    rule-free legacy executor projecting C's attribute: a value outside
-    C's interval is a violation.  Returns violation descriptions.
+    rule-free reference evaluator projecting C's attribute: a value
+    outside C's interval is a violation.  Returns violation descriptions.
     """
     from repro.query.system import IntensionalQueryProcessor
     from repro.sql.parser import parse_select
@@ -369,7 +365,7 @@ def check_intensional_consistency(domain: str, seed: int, sql: str, *,
                 conclusion.attribute.attribute,
                 conclusion.attribute.relation))],
             tables=statement.tables, where=statement.where)
-        extension = execute_select_legacy(instance.database, probe)
+        extension = execute_select_reference(instance.database, probe)
         for (value,) in extension:
             if not conclusion.satisfied_by(value):
                 violations.append(

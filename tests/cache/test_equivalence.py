@@ -1,6 +1,6 @@
 """Property-based cache correctness: under any interleaving of queries
 and DML, a SELECT answered through the plan+result cache must return
-the same bag of rows as the uncached legacy executor would compute on
+the same bag of rows as the uncached reference evaluator computes on
 the database's *current* state -- at every step, at every batch size,
 over every domain in the equivalence matrix (ship plus synthetic; see
 ``tests/domain_fixtures.py``).
@@ -12,8 +12,9 @@ interleaving here serves a stale relation and the bag comparison fails.
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import query_cache
-from repro.sql.executor import execute_select_legacy, execute_statement
+from repro.sql.executor import execute_statement
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 from tests.domain_fixtures import EQUIVALENCE_FIXTURES
 
 FIXTURES = EQUIVALENCE_FIXTURES
@@ -51,7 +52,7 @@ def test_cached_answers_track_every_interleaving(case):
             continue
         statement = parse_select(fixture.queries[choice])
         cached = cache.execute_select(statement, batch_size=batch_size)
-        fresh = execute_select_legacy(database, statement)
+        fresh = execute_select_reference(database, statement)
         assert cached == fresh, (
             f"op {index} [{fixture.name}]: cached answer diverged for "
             f"{fixture.queries[choice]!r} at batch_size={batch_size}")
@@ -73,6 +74,6 @@ def test_disabled_cache_is_a_pure_passthrough(case):
             continue
         statement = parse_select(fixture.queries[choice])
         cached = cache.execute_select(statement, batch_size=batch_size)
-        assert cached == execute_select_legacy(database, statement)
+        assert cached == execute_select_reference(database, statement)
     assert cache.entry_counts() == {"plan": 0, "result": 0, "ask": 0}
     assert cache.bytes_used == 0

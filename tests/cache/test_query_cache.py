@@ -14,10 +14,9 @@ from repro.cache.core import estimate_relation_bytes
 from repro.induction import InductionConfig, InductiveLearningSubsystem
 from repro.ker import SchemaBinding
 from repro.query import IntensionalQueryProcessor
-from repro.sql.executor import (
-    execute_select, execute_select_legacy, execute_statement,
-)
+from repro.sql.executor import execute_select, execute_statement
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 from repro.storage import StorageEngine
 from repro.testbed import ship_database, ship_ker_schema
 
@@ -44,7 +43,7 @@ def eager_cache(database) -> QueryCache:
 
 
 def run(database, sql):
-    return execute_select(database, parse_select(sql), use_planner=True)
+    return execute_select(database, parse_select(sql))
 
 
 class TestPlanAndResultCache:
@@ -75,8 +74,8 @@ class TestPlanAndResultCache:
         assert cache.counters.get("invalidate.dml", 0) >= 1
         after = run(database, SUB_SQL)
         assert len(after) == len(before) + 1
-        assert after == execute_select_legacy(database,
-                                              parse_select(SUB_SQL))
+        assert after == execute_select_reference(database,
+                                                 parse_select(SUB_SQL))
 
     def test_invalidation_is_exact(self):
         """A SONAR insert must kill the SONAR-dependent entry and ONLY
@@ -198,8 +197,8 @@ class TestTransactions:
         engine.rollback()
         after = run(database, SUB_SQL)
         assert after == before
-        assert after == execute_select_legacy(database,
-                                              parse_select(SUB_SQL))
+        assert after == execute_select_reference(database,
+                                                 parse_select(SUB_SQL))
         assert cache.counters["invalidate.dml"] >= 2
 
 
@@ -335,7 +334,7 @@ class TestEvictionAndBudget:
         # Room for the SONAR result only if something else goes: one
         # byte short of fitting both forces exactly the LRU eviction.
         incoming = estimate_relation_bytes(
-            execute_select_legacy(database, parse_select(SONAR_SQL)))
+            execute_select_reference(database, parse_select(SONAR_SQL)))
         cache.byte_budget = cache.bytes_used + incoming - 1
         run(database, SONAR_SQL)
         assert cache.counters["evictions"] >= 1

@@ -45,9 +45,10 @@ class TestStaleRulesPin:
 
     Before the guard, INSERTing a CLASS row that violates an induced
     Displacement->Type interval rule left the planner free to
-    short-circuit a matching SELECT to empty while the legacy executor
-    returned the new row.  The case must diverge again the moment the
-    guard is bypassed -- proving the pin is load-bearing, not vacuous.
+    short-circuit a matching SELECT to empty while the rule-free engine
+    (now the reference evaluator) returned the new row.  The case must
+    diverge again the moment the guard is bypassed -- proving the pin is
+    load-bearing, not vacuous.
     """
 
     PATH = os.path.join(CORPUS_DIR, "stale_rules_class_insert.json")
@@ -55,7 +56,7 @@ class TestStaleRulesPin:
     def test_pin_exists(self):
         assert os.path.exists(self.PATH)
         payload = json.load(open(self.PATH))
-        assert payload["configs"] == ["legacy", "planner-rules"]
+        assert payload["configs"] == ["reference", "planner-rules"]
 
     def test_diverges_without_freshness_guard(self, monkeypatch):
         from repro.rules.ruleset import RuleSet

@@ -25,8 +25,8 @@ CELLS = [
 ]
 
 #: direct-path configs (fast); the wire path gets its own smaller cell.
-DIRECT_CONFIGS = ("legacy", "planner", "planner-rules", "interpreted",
-                  "batch-1", "batch-7", "unbounded", "cached")
+DIRECT_CONFIGS = ("reference", "planner", "planner-rules", "batch-1",
+                  "batch-7", "unbounded", "cached")
 
 
 class TestMatrix:
@@ -40,7 +40,7 @@ class TestMatrix:
                              [("hospital", 0), ("ontology", 0)])
     def test_server_wire_path_agrees(self, domain, seed):
         report = run_differential(domain, seed, n_statements=15,
-                                  configs=("legacy", "server"))
+                                  configs=("reference", "server"))
         assert report.ok, "\n" + report.render()
 
     @pytest.mark.parametrize("domain", ["hospital", "logistics"])
@@ -48,7 +48,7 @@ class TestMatrix:
         """Band-edge mass and label noise stress induced-rule edges."""
         report = run_differential(domain, 5, n_statements=20,
                                   adversarial=True,
-                                  configs=("legacy", "planner-rules",
+                                  configs=("reference", "planner-rules",
                                            "planner-reinduce", "cached"))
         assert report.ok, "\n" + report.render()
 

@@ -20,7 +20,7 @@ class TestDdmin:
             return culprit in subset
 
         core = minimize("hospital", 0, statements,
-                        configs=("legacy",), predicate=predicate)
+                        configs=("reference",), predicate=predicate)
         assert core == [culprit]
 
     def test_interacting_pair(self):
@@ -32,7 +32,7 @@ class TestDdmin:
             return first in subset and second in subset
 
         core = minimize("hospital", 0, statements,
-                        configs=("legacy",), predicate=predicate)
+                        configs=("reference",), predicate=predicate)
         assert core == [first, second]
 
     def test_order_preserved(self):
@@ -43,13 +43,13 @@ class TestDdmin:
             return needed <= set(subset)
 
         core = minimize("hospital", 0, statements,
-                        configs=("legacy",), predicate=predicate)
+                        configs=("reference",), predicate=predicate)
         assert core == [statements[2], statements[5], statements[9]]
 
     def test_non_diverging_program_returned_whole(self):
         statements = _statements(5)
         core = minimize("hospital", 0, statements,
-                        configs=("legacy",),
+                        configs=("reference",),
                         predicate=lambda subset: False)
         assert core == statements
 
@@ -67,7 +67,7 @@ class TestDdmin:
             return any(s.sql.startswith("DELETE") for s in subset)
 
         core = minimize("hospital", 0, statements,
-                        configs=("legacy",), predicate=predicate)
+                        configs=("reference",), predicate=predicate)
         assert core == [statements[2]]
 
 

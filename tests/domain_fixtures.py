@@ -1,7 +1,7 @@
 """Domain fixtures for the property-based equivalence suites.
 
 The planner- and cache-equivalence properties are universal ("any
-engine path returns the legacy bag of rows"), so they should hold over
+engine path returns the reference bag of rows"), so they should hold over
 *any* domain, not just the paper's ship test bed.  This module packages
 a domain as the inputs those suites need -- FROM scenarios with their
 natural join conditions, per-column literal pools (in-domain, boundary

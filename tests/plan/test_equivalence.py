@@ -1,5 +1,6 @@
 """Property-based equivalence: the cost-based planner must return the
-same bag of rows as the legacy executor for every supported SELECT.
+same bag of rows as the reference evaluator (:mod:`repro.sql.reference`)
+for every supported SELECT.
 
 Queries are generated over a *matrix of domains* -- the paper's ship
 test bed plus synthetic domains from :mod:`repro.synth` (see
@@ -15,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.plan.planner import plan_select
 from repro.plan.plans import UNBOUNDED
-from repro.relational import columnar, compiled
-from repro.sql.executor import execute_select, execute_select_legacy
+from repro.relational import columnar
+from repro.sql.executor import execute_select
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 from tests.domain_fixtures import EQUIVALENCE_FIXTURES
 
 # Read-only databases and rule bases shared by every generated query
@@ -63,9 +65,9 @@ def test_planner_matches_legacy(case):
     fixture, sql = case
     statement = parse_select(sql)
     planned = execute_select(fixture.database, statement,
-                             use_planner=True, rules=fixture.rules)
-    legacy = execute_select_legacy(fixture.database, statement)
-    assert planned == legacy, f"[{fixture.name}] {sql}"
+                             rules=fixture.rules)
+    reference = execute_select_reference(fixture.database, statement)
+    assert planned == reference, f"[{fixture.name}] {sql}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,30 +75,30 @@ def test_planner_matches_legacy(case):
 def test_planner_without_rules_matches_legacy(case):
     fixture, sql = case
     statement = parse_select(sql)
-    planned = execute_select(fixture.database, statement,
-                             use_planner=True)
-    legacy = execute_select_legacy(fixture.database, statement)
-    assert planned == legacy, f"[{fixture.name}] {sql}"
+    planned = execute_select(fixture.database, statement)
+    reference = execute_select_reference(fixture.database, statement)
+    assert planned == reference, f"[{fixture.name}] {sql}"
 
 
 @settings(max_examples=40, deadline=None)
 @given(select_statements())
 def test_explain_analyze_actuals_match_legacy(case):
     """EXPLAIN ANALYZE instrumentation must not distort execution: the
-    root node's measured actual row count equals the legacy executor's
-    cardinality, and the rendered tree reports exactly that number."""
+    root node's measured actual row count equals the reference
+    evaluator's cardinality, and the rendered tree reports exactly that
+    number."""
     import re
 
     from repro.plan.explain import explain_select
 
     fixture, sql = case
     statement = parse_select(sql)
-    legacy = execute_select_legacy(fixture.database, statement)
+    reference = execute_select_reference(fixture.database, statement)
 
     planned = plan_select(fixture.database, statement,
                           rules=fixture.rules)
     result = planned.execute()
-    assert planned.root.actual_rows == len(result) == len(legacy), sql
+    assert planned.root.actual_rows == len(result) == len(reference), sql
 
     rendered = explain_select(fixture.database, statement,
                               rules=fixture.rules, analyze=True)
@@ -104,7 +106,7 @@ def test_explain_analyze_actuals_match_legacy(case):
                      if not line.startswith(("semantic:", "cache:")))
     match = re.search(r"actual (\d+), time ", root_line)
     assert match is not None, rendered
-    assert int(match.group(1)) == len(legacy), sql
+    assert int(match.group(1)) == len(reference), sql
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,41 +115,18 @@ def test_streaming_matches_materializing(case, batch_size):
     """The morsel size is an implementation knob, never a semantic one:
     any streamed batch size produces *exactly* the rows (same order)
     that one unbounded batch -- the old materializing pipeline shape --
-    produces, and the bag the legacy executor produces."""
+    produces, and the bag the reference evaluator produces."""
     fixture, sql = case
     statement = parse_select(sql)
     streamed = plan_select(fixture.database, statement,
                            rules=fixture.rules).execute(
         batch_size=batch_size)
-    reference = plan_select(fixture.database, statement,
-                            rules=fixture.rules).execute(
+    materialized = plan_select(fixture.database, statement,
+                               rules=fixture.rules).execute(
         batch_size=UNBOUNDED)
-    assert list(streamed.rows) == list(reference.rows), sql
-    assert streamed == execute_select_legacy(fixture.database,
-                                             statement), sql
-
-
-@settings(max_examples=25, deadline=None)
-@given(select_statements())
-def test_compiled_predicates_match_interpreted(case):
-    """Flipping ``compiled.ENABLED`` off restores the interpreted
-    pre-refactor pipeline; results must be tuple-for-tuple identical."""
-    fixture, sql = case
-    statement = parse_select(sql)
-    with_compiler = plan_select(fixture.database, statement,
-                                rules=fixture.rules).execute()
-    legacy_compiled = execute_select_legacy(fixture.database, statement)
-    assert compiled.ENABLED
-    try:
-        compiled.ENABLED = False
-        interpreted = plan_select(fixture.database, statement,
-                                  rules=fixture.rules).execute()
-        legacy_interpreted = execute_select_legacy(fixture.database,
-                                                   statement)
-    finally:
-        compiled.ENABLED = True
-    assert list(with_compiler.rows) == list(interpreted.rows), sql
-    assert list(legacy_compiled.rows) == list(legacy_interpreted.rows), sql
+    assert list(streamed.rows) == list(materialized.rows), sql
+    assert streamed == execute_select_reference(fixture.database,
+                                                statement), sql
 
 
 @settings(max_examples=25, deadline=None)
@@ -155,8 +134,7 @@ def test_compiled_predicates_match_interpreted(case):
 def test_columnar_matches_row_pipeline(case, batch_size):
     """REPRO_COLUMNAR is a storage/execution knob, never a semantic
     one: the fused columnar path yields tuple-for-tuple the rows of the
-    row pipeline at every batch size, on the planner and the legacy
-    executor, with compiled predicates on and off."""
+    row pipeline at every batch size."""
     fixture, sql = case
     statement = parse_select(sql)
 
@@ -169,20 +147,9 @@ def test_columnar_matches_row_pipeline(case, batch_size):
     try:
         columnar.set_enabled(True)
         fused = run()
-        legacy_on = execute_select_legacy(fixture.database, statement)
         columnar.set_enabled(False)
         rowwise = run()
-        legacy_off = execute_select_legacy(fixture.database, statement)
         assert list(fused.rows) == list(rowwise.rows), sql
-        assert list(legacy_on.rows) == list(legacy_off.rows), sql
-        columnar.set_enabled(True)
-        assert compiled.ENABLED
-        try:
-            compiled.ENABLED = False
-            interpreted = run()
-        finally:
-            compiled.ENABLED = True
-        assert list(interpreted.rows) == list(rowwise.rows), sql
     finally:
         columnar.set_enabled(before)
 
@@ -215,7 +182,7 @@ def test_columnar_pure_python_matches_numpy(case):
 @given(select_statements(), st.booleans())
 def test_aggregates_match_legacy(case, count_column):
     # Rewrite the generated projection into a single aggregate; COUNT
-    # over the join output must agree between the two paths.
+    # over the join output must agree with the reference.
     fixture, sql = case
     aggregate = (f"COUNT({fixture.agg_column})" if count_column
                  else "COUNT(*)")
@@ -227,6 +194,6 @@ def test_aggregates_match_legacy(case, count_column):
     rewritten = f"SELECT {aggregate} FROM {body}"
     statement = parse_select(rewritten)
     planned = execute_select(fixture.database, statement,
-                             use_planner=True, rules=fixture.rules)
-    legacy = execute_select_legacy(fixture.database, statement)
-    assert planned == legacy, f"[{fixture.name}] {rewritten}"
+                             rules=fixture.rules)
+    reference = execute_select_reference(fixture.database, statement)
+    assert planned == reference, f"[{fixture.name}] {rewritten}"

@@ -15,8 +15,9 @@ import pytest
 from repro import obs
 from repro.plan.planner import plan_select
 from repro.plan.stats import statistics
-from repro.sql.executor import execute_select_legacy, execute_statement
+from repro.sql.executor import execute_statement
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 from repro.testbed import ship_database
 
 SQL = "SELECT * FROM SUBMARINE WHERE SUBMARINE.Class = '0101'"
@@ -53,7 +54,7 @@ def test_index_scan_sees_rows_inserted_after_planning(observed):
     # ... and the execution must see the new row via a rebuilt index.
     assert len(result) == len(before) + 1
     assert any(row[0] == "SSN999" for row in result)
-    assert result == execute_select_legacy(database, statement)
+    assert result == execute_select_reference(database, statement)
     assert observed.value("index_cache_requests_total",
                           result="stale", kind="hash") == 1
 
@@ -96,7 +97,7 @@ def test_mutation_between_planning_and_streaming(observed):
 
     assert len(result) == baseline + 1
     assert any(row[0] == "SSN999" for row in result)
-    assert result == execute_select_legacy(database, statement)
+    assert result == execute_select_reference(database, statement)
     assert observed.value("index_cache_requests_total",
                           result="stale", kind="hash") == 1
 

@@ -4,7 +4,7 @@ The fused columnar path, the vectorized projection and the dictionary-
 code COUNT/GROUP BY are performance paths, never semantic ones: over a
 synthetic table spanning several default-size batches they must return
 exactly the row path's rows in the row path's order (numpy on and off,
-one-row batches, the legacy executor).  Also covers snapshot semantics
+one-row batches, the reference evaluator).  Also covers snapshot semantics
 under mid-stream mutation, early termination, EXPLAIN ANALYZE actuals
 of the vectorized path, and statement deadlines in the streaming and
 vectorized paths.
@@ -22,7 +22,7 @@ from repro.plan.plans import DEFAULT_BATCH_SIZE, statement_deadline_scope
 from repro.relational import columnar
 from repro.relational.database import Database
 from repro.relational.datatypes import INTEGER, char
-from repro.sql.executor import execute_select_legacy
+from repro.sql.reference import execute_select_reference
 from repro.sql.parser import parse_select
 
 #: Several default-size batches plus a partial one.
@@ -143,7 +143,7 @@ class TestEquivalence:
         for sql in QUERIES.values():
             statement = parse_select(sql)
             planned = plan_select(big_db, statement).execute()
-            assert planned == execute_select_legacy(big_db, statement), \
+            assert planned == execute_select_reference(big_db, statement), \
                 sql
 
 

@@ -14,8 +14,9 @@ from repro.plan.plans import (
 from repro.plan.stats import statistics
 from repro.relational.expressions import ColumnRef, Comparison, Literal
 from repro.sql.ast import TableRef
-from repro.sql.executor import Scope, execute_select_legacy
+from repro.sql.executor import Scope
 from repro.sql.parser import parse_select
+from repro.sql.reference import execute_select_reference
 
 JOIN_SQL = (
     "SELECT SUBMARINE.Name, CLASS.Type FROM SUBMARINE, CLASS "
@@ -139,7 +140,7 @@ class TestActualsAcrossBatches:
     def test_per_node_actuals_match_materializing_path(self, ship_db,
                                                        ship_rules):
         """Regression: actual_rows accumulated over many small batches
-        must pin to the cardinalities the one-batch (legacy
+        must pin to the cardinalities the one-batch (old
         materializing) execution measures on the identical tree."""
         statement = parse_select(JOIN_SQL)
 
@@ -156,15 +157,16 @@ class TestActualsAcrossBatches:
 
         assert actuals(streamed.root) == actuals(reference.root)
         assert streamed.root.actual_rows == len(
-            execute_select_legacy(ship_db, statement))
+            execute_select_reference(ship_db, statement))
 
     def test_explain_analyze_streams(self, ship_db, ship_rules):
         from repro.plan.explain import explain_select
 
         rendered = explain_select(ship_db, parse_select(JOIN_SQL),
                                   rules=ship_rules, analyze=True)
-        legacy = execute_select_legacy(ship_db, parse_select(JOIN_SQL))
-        assert f"actual {len(legacy)}" in rendered
+        expected = execute_select_reference(ship_db,
+                                            parse_select(JOIN_SQL))
+        assert f"actual {len(expected)}" in rendered
 
 
 class TestSnapshotSemantics:

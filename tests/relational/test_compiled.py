@@ -6,10 +6,9 @@ through both paths over every row."""
 import pytest
 
 from repro.errors import ExpressionError
-from repro.relational import INTEGER, REAL, char, compiled
+from repro.relational import INTEGER, REAL, char
 from repro.relational.compiled import (
-    compile_expression, compile_expressions, compile_predicate,
-    schema_resolver, slot_resolver,
+    compile_expression, schema_resolver, slot_resolver,
 )
 from repro.relational.expressions import (
     And, Arithmetic, ColumnRef, Comparison, Environment, Expression,
@@ -141,45 +140,6 @@ class TestResolvers:
         resolve = slot_resolver([("a", SCHEMA), ("b", SCHEMA)])
         with pytest.raises(ExpressionError, match="ambiguous column"):
             compile_expression(ColumnRef("Age"), resolve)
-
-
-class TestFallbacks:
-    class _Unknown(Expression):
-        def evaluate(self, environment):
-            return 42
-
-        def render(self):
-            return "unknown()"
-
-        def references(self):
-            return []
-
-    def test_unsupported_node_takes_fallback(self):
-        sentinel = lambda row: "fallback"
-        test = compile_predicate(self._Unknown(),
-                                 schema_resolver(SCHEMA),
-                                 fallback=lambda: sentinel)
-        assert test is sentinel
-
-    def test_disabled_flag_takes_fallback(self, monkeypatch):
-        monkeypatch.setattr(compiled, "ENABLED", False)
-        sentinel = lambda row: "fallback"
-        test = compile_predicate(
-            Comparison("=", ColumnRef("Age"), Literal(38)),
-            schema_resolver(SCHEMA), fallback=lambda: sentinel)
-        assert test is sentinel
-
-    def test_compile_expressions_all_or_none(self):
-        good = Comparison("=", ColumnRef("Age"), Literal(38))
-        assert compile_expressions([good], schema_resolver(SCHEMA))
-        assert compile_expressions([good, self._Unknown()],
-                                   schema_resolver(SCHEMA)) is None
-
-    def test_compile_expressions_disabled(self, monkeypatch):
-        monkeypatch.setattr(compiled, "ENABLED", False)
-        good = Comparison("=", ColumnRef("Age"), Literal(38))
-        assert compile_expressions([good],
-                                   schema_resolver(SCHEMA)) is None
 
 
 class TestBatchAccessors:
