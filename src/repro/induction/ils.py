@@ -1,6 +1,7 @@
 """The Inductive Learning Subsystem facade.
 
-Ties schema-guided candidate selection, pair extraction (native or
+Ties schema-guided candidate selection, pair extraction (a column-store
+sweep within one relation, a native pass over relationship joins, or
 QUEL), run construction and pruning into one call::
 
     ils = InductiveLearningSubsystem(binding, InductionConfig(n_c=3))
@@ -26,7 +27,6 @@ from repro.induction.pairwise import (
     induce_from_pairs,
 )
 from repro.ker.binding import SchemaBinding
-from repro.relational import columnar
 from repro.relational.indexes import HashIndex
 from repro.rules.clause import AttributeRef
 from repro.rules.rule import Rule
@@ -246,17 +246,13 @@ class InductiveLearningSubsystem:
             extraction = extract_pairs_quel(
                 database, relation.name,
                 scheme.x_ref.attribute, scheme.y_ref.attribute)
-        elif columnar.enabled():
+        else:
             # Aggregation sweep over the column store: the interval
             # passes reduce over distinct-pair counts (dictionary codes
             # when encoded) instead of walking rows.
             extraction = extract_pairs_columnar(
                 relation.column_store(),
                 scheme.x_ref.attribute, scheme.y_ref.attribute)
-        else:
-            xs, ys = relation.columns(scheme.x_ref.attribute,
-                                      scheme.y_ref.attribute)
-            extraction = extract_pairs_native(zip(xs, ys))
         return induce_from_pairs(extraction, scheme.x_ref, scheme.y_ref,
                                  self.config, relation_size=len(relation))
 

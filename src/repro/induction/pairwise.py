@@ -9,13 +9,17 @@ Four steps, for the rule scheme X --> Y over a source of (X, Y) pairs:
    range (see :mod:`repro.induction.runs`);
 4. prune rules with support below ``N_c``.
 
-Steps 1-2 can execute on either of two equivalent paths:
+Steps 1-2 execute on one of three equivalent paths:
 
-* :func:`extract_pairs_native` -- plain Python over the relation rows;
+* :func:`extract_pairs_columnar` -- a distinct-pair count sweep over the
+  relation's column store, used for every scheme within one relation;
+* :func:`extract_pairs_native` -- plain Python over (x, y) pairs, used
+  for inter-object schemes, whose pairs come from a relationship join;
 * :func:`extract_pairs_quel` -- the literal QUEL statements the paper
   prints, run through :class:`repro.quel.QuelSession`.
 
-Both produce a :class:`PairExtraction`; a test pins their equivalence.
+All three produce a :class:`PairExtraction`; tests pin their
+equivalence.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from repro.rules.rule import Rule
 #: working relations; dropped after extraction).
 _QUEL_S = "_ILS_S"
 _QUEL_T = "_ILS_T"
+
+#: Packed (X, Y) surrogate codes stay below this bound, so neither the
+#: int64 offsets nor the packing can overflow.
+_PACK_LIMIT = 2 ** 62
 
 
 class PairExtraction(NamedTuple):
@@ -93,7 +101,9 @@ def extract_pairs_columnar(store: ColumnStore, x_column: str,
     the *distinct-pair* counts, which for the low-cardinality attributes
     rule induction targets is orders of magnitude smaller than the row
     count.  Exactly equivalent to :func:`extract_pairs_native` over the
-    same rows (a hypothesis test pins this).
+    same rows, field for field on both kernel backends
+    (``tests/induction/test_pairwise.py::TestExtractColumnar`` pins
+    this).
     """
     x_position = store.schema.position(x_column)
     y_position = store.schema.position(y_column)
@@ -148,7 +158,7 @@ def _np_pair_counts(np, x_col, y_col):
     if not len(x_codes):
         return []
     span = int(y_codes.max()) + 1
-    if int(x_codes.max()) >= (2 ** 62) // max(span, 1):
+    if int(x_codes.max()) >= _PACK_LIMIT // max(span, 1):
         return None  # packing would overflow; let Counter handle it
     packed, occurrences = np.unique(
         x_codes.astype(np.int64) * span + y_codes, return_counts=True)
@@ -171,6 +181,10 @@ def _surrogate_codes(np, column):
         if array is None:  # NULLs or non-int64 values: no surrogate
             return None
         low = int(array.min()) if len(array) else 0
+        if len(array) and int(array.max()) - low >= _PACK_LIMIT:
+            # ``array - low`` would wrap around in int64; the span is
+            # measured in Python ints, which cannot.
+            return None
 
         def decode_int(code: int, low: int = low) -> int:
             return code + low
@@ -273,13 +287,8 @@ def induce_scheme(relation: Relation, x_column: str, y_column: str,
                 "the QUEL induction path needs the owning database")
         extraction = extract_pairs_quel(database, relation.name,
                                         x_column, y_column)
-    elif columnar.enabled():
+    else:
         extraction = extract_pairs_columnar(relation.column_store(),
                                             x_column, y_column)
-    else:
-        x_position = relation.schema.position(x_column)
-        y_position = relation.schema.position(y_column)
-        extraction = extract_pairs_native(
-            (row[x_position], row[y_position]) for row in relation)
     return induce_from_pairs(extraction, x_ref, y_ref, config,
                              relation_size=len(relation))

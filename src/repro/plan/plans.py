@@ -46,7 +46,7 @@ import time
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import obs
-from repro.relational import columnar, compiled, kernels
+from repro.relational import compiled, kernels
 from repro.relational.relation import Relation
 from repro.rules.clause import Interval
 from repro.sql import ast
@@ -174,59 +174,59 @@ def default_batch_size() -> int:
     return value
 
 
-def _scan_filter_chain(plan: "Plan"):
-    """``(scan, [filter, ...])`` when *plan* is a TableScan optionally
-    wrapped in FilterPlans (outermost last) -- the shape the fused
-    columnar path can execute -- else ``None``."""
-    filters: list[FilterPlan] = []
-    node = plan
-    while isinstance(node, FilterPlan):
-        filters.append(node)
-        node = node.child
-    if not isinstance(node, TableScanPlan):
-        return None
-    filters.reverse()
-    return node, filters
+def _chain_scan(plan: "Plan") -> "TableScanPlan | None":
+    """The scan under *plan* when *plan* is a single-binding chain -- a
+    TableScan, or a Filter over one (the planner builds at most one
+    FilterPlan per binding) -- else ``None``."""
+    scan = plan.child if isinstance(plan, FilterPlan) else plan
+    return scan if isinstance(scan, TableScanPlan) else None
 
 
-def _resolve_columnar(scan: "TableScanPlan", filters: Sequence["FilterPlan"],
-                      *, account_last: bool):
-    """Execute a scan+filter chain as column kernels.
+def _resolve_chain(plan: "Plan"):
+    """Evaluate a single-binding chain (see :func:`_chain_scan`) as
+    column kernels.
 
-    Returns ``(store, rows, mask)`` where *rows* is the store's aligned
-    row snapshot and *mask* selects the survivors (``None`` = all).
-    Sets the chain nodes' actuals to exactly what the row path would
-    have accumulated on full consumption (*account_last* off leaves the
-    last filter to its own ``_instrumented`` accounting).  Raises
-    :class:`~repro.relational.kernels.UnsupportedKernel` when any
-    predicate falls outside the compilable subset -- callers fall back
-    to the row path, which re-resolves everything and surfaces exact
-    interpreter semantics.
+    Returns ``(store, mask)``, where *mask* selects the survivors of the
+    store's aligned row snapshot (``None`` = all), or ``None`` when
+    *plan* is not a chain.  Sets each chain node's actual rows and
+    inclusive time to what the row path accumulates on full
+    consumption.  Raises
+    :class:`~repro.relational.kernels.UnsupportedKernel` when a
+    predicate falls outside the kernels' subset -- callers then stream
+    the chain through compiled closures, which re-resolve everything
+    and surface exact interpreter semantics.
     """
+    scan = _chain_scan(plan)
+    if scan is None:
+        return None
     start = time.perf_counter()
     store = scan.relation.column_store()
-    rows = store.rows
-    scan.actual_rows = len(rows)
+    scan.actual_rows = len(store)
     scan.actual_time_s = time.perf_counter() - start
-    mask = None
-    last = filters[-1] if filters else None
-    for node in filters:
-        node_start = time.perf_counter()
-        part = kernels.predicate_mask(store, node.predicates,
-                                      [scan.binding])
-        mask = kernels.combine_and(mask, part)
-        if account_last or node is not last:
-            node.actual_rows = kernels.count(mask, len(rows))
-            node.actual_time_s = time.perf_counter() - node_start
-    return store, rows, mask
+    if plan is scan:
+        return store, None
+    mask = kernels.predicate_mask(store, plan.predicates, [scan.binding])
+    plan.actual_rows = kernels.count(mask, len(store))
+    plan.actual_time_s = time.perf_counter() - start
+    return store, mask
 
 
-def _count_fused(node_type: str, fused: bool) -> None:
+def _fused_chain(node_type: str, plan: "Plan"):
+    """:func:`_resolve_chain` for an input of a *node_type* node,
+    counted in ``columnar_fused_total``; ``None`` = stream *plan*."""
+    try:
+        chain = _resolve_chain(plan)
+    except kernels.UnsupportedKernel:
+        chain, result = None, "fallback"
+    else:
+        if chain is None:
+            return None
+        result = "fused"
     if obs.enabled():
         obs.counter("columnar_fused_total",
                     "plan subtrees executed via column kernels",
-                    node=node_type,
-                    result="fused" if fused else "fallback").inc()
+                    node=node_type, result=result).inc()
+    return chain
 
 
 class Plan:
@@ -276,7 +276,8 @@ class Plan:
     def _instrumented(self, source: Iterator[list[tuple]],
                       size: int) -> Iterator[list[tuple]]:
         wall_start = time.perf_counter()
-        batch_count = 0
+        batch_count = rows = 0
+        elapsed = 0.0
         try:
             while True:
                 _check_statement_deadline()
@@ -284,10 +285,15 @@ class Plan:
                 try:
                     batch = next(source)
                 except StopIteration:
-                    self.actual_time_s += time.perf_counter() - start
+                    self.actual_time_s = elapsed + (
+                        time.perf_counter() - start)
                     break
-                self.actual_time_s += time.perf_counter() - start
-                self.actual_rows += len(batch)
+                # Assigned, not added: the stream's own totals supersede
+                # what a chain resolution inside ``next`` recorded.
+                elapsed += time.perf_counter() - start
+                rows += len(batch)
+                self.actual_time_s = elapsed
+                self.actual_rows = rows
                 batch_count += 1
                 if obs.enabled():
                     obs.counter("plan_batches_total",
@@ -461,20 +467,11 @@ class FilterPlan(Plan):
     def _fused_selection(self):
         """``(rows, selection)`` via column kernels when this node tops
         a kernel-capable scan+filter chain, else ``None`` (row path)."""
-        if not columnar.enabled():
-            return None
-        chain = _scan_filter_chain(self)
+        chain = _fused_chain("FilterPlan", self)
         if chain is None:
             return None
-        scan, filters = chain
-        try:
-            _store, rows, mask = _resolve_columnar(scan, filters,
-                                                   account_last=False)
-        except kernels.UnsupportedKernel:
-            _count_fused("FilterPlan", False)
-            return None
-        _count_fused("FilterPlan", True)
-        return rows, kernels.to_selection(mask)
+        store, mask = chain
+        return store.rows, kernels.to_selection(mask)
 
     def _batches(self, size: int) -> Iterator[list[tuple]]:
         fused = self._fused_selection()
@@ -578,7 +575,7 @@ class HashJoinPlan(Plan):
                 buckets.setdefault(key, []).append(rows)
         if not buckets:
             return  # early termination: the left side is never pulled
-        fused = self._fused_probe(left_keys)
+        fused = _fused_chain("HashJoinPlan", self.left)
         if fused is not None:
             yield from self._probe_columnar(fused, buckets, left_keys, size)
             return
@@ -600,23 +597,16 @@ class HashJoinPlan(Plan):
         """Resolve the build (right) side through column kernels when it
         is a kernel-capable scan+filter chain over a single join key;
         ``None`` = build buckets from streamed right batches."""
-        if not columnar.enabled() or len(self.edges) != 1:
+        if len(self.edges) != 1:
             return None
-        chain = _scan_filter_chain(self.right)
+        chain = _fused_chain("HashJoinPlan", self.right)
         if chain is None:
             return None
-        scan, filters = chain
-        try:
-            store, rows, mask = _resolve_columnar(scan, filters,
-                                                  account_last=True)
-            notnull = kernels.notnull_mask(store, right_keys[0][1])
-        except kernels.UnsupportedKernel:
-            _count_fused("HashJoinPlan", False)
-            return None
-        _count_fused("HashJoinPlan", True)
+        store, mask = chain
         # NULL join keys never enter buckets, so fold their exclusion
         # into the build mask up front.
-        return store, rows, kernels.combine_and(mask, notnull)
+        return store, kernels.combine_and(
+            mask, kernels.notnull_mask(store, right_keys[0][1]))
 
     def _join_fused_build(self, fused, left_keys, right_keys,
                           size: int) -> Iterator[list[tuple]]:
@@ -626,7 +616,8 @@ class HashJoinPlan(Plan):
         all pay the per-row bucket insert.  Output order matches the row
         path exactly (left row order, build ascending order per bucket).
         """
-        store, rows, mask = fused
+        store, mask = fused
+        rows = store.rows
         if kernels.count(mask, len(rows)) == 0:
             return  # early termination: the left side is never pulled
         slot, left_position = left_keys[0]
@@ -659,24 +650,6 @@ class HashJoinPlan(Plan):
         if out:
             yield out
 
-    def _fused_probe(self, left_keys):
-        """Resolve the probe (left) side through column kernels when it
-        is a kernel-capable scan+filter chain; ``None`` = stream it."""
-        if not columnar.enabled():
-            return None
-        chain = _scan_filter_chain(self.left)
-        if chain is None:
-            return None
-        scan, filters = chain
-        try:
-            store, rows, mask = _resolve_columnar(scan, filters,
-                                                  account_last=True)
-        except kernels.UnsupportedKernel:
-            _count_fused("HashJoinPlan", False)
-            return None
-        _count_fused("HashJoinPlan", True)
-        return store, rows, mask
-
     def _probe_columnar(self, fused, buckets, left_keys,
                         size: int) -> Iterator[list[tuple]]:
         """Probe *buckets* with the fused left side: a vectorized
@@ -684,7 +657,8 @@ class HashJoinPlan(Plan):
         occurs on the build side at all, then only those few rows pay
         the per-row bucket lookup.  Output order matches the row path
         exactly (left row order, build insertion order per bucket)."""
-        store, rows, mask = fused
+        store, mask = fused
+        rows = store.rows
         positions = [position for _slot, position in left_keys]
         out: list[tuple] = []
         if len(positions) == 1:
@@ -834,10 +808,8 @@ class ProjectPlan(Plan):
     def execute_relation(self, batch_size: int | None = None) -> Relation:
         self.reset_actuals()
         start = time.perf_counter()
-        result = None
-        if columnar.enabled():
-            from repro.plan import vectorized
-            result = vectorized.fast_result(self)
+        from repro.plan import vectorized
+        result = vectorized.fast_result(self)
         if result is None:
             stream = (rows for batch in self.child.batches(batch_size)
                       for rows in batch)

@@ -281,22 +281,13 @@ class TableStats:
         self.name = relation.name
         self.row_count = len(relation)
         self.columns: dict[str, ColumnStats] = {}
-        if columnar.enabled():
-            # Reduce over the relation's column store (shared with the
-            # execution kernels, so the transpose is paid once for
-            # both); numbers match the scalar path exactly.
-            store = relation.column_store()
-            for column, store_column in zip(relation.schema.columns,
-                                            store.columns):
-                self.columns[column.key] = ColumnStats.from_column(
-                    column.name, store_column)
-            return
-        # One transpose of the row list instead of one per-row position
-        # lookup pass per column.
-        for column, values in zip(relation.schema.columns,
-                                  relation.column_arrays()):
-            self.columns[column.key] = ColumnStats(column.name,
-                                                   list(values))
+        # Reduce over the relation's column store (shared with the
+        # execution kernels, so the transpose is paid once for both).
+        store = relation.column_store()
+        for column, store_column in zip(relation.schema.columns,
+                                        store.columns):
+            self.columns[column.key] = ColumnStats.from_column(
+                column.name, store_column)
 
     def column(self, name: str) -> ColumnStats:
         return self.columns[name.lower()]

@@ -19,14 +19,13 @@ Exact-semantics gating mirrors the kernels: a fast path engages only
 when it provably reproduces the row path -- validation runs through
 the *same* executor helpers (:func:`~repro.sql.executor.
 _projection_items`, ``_validate_grouped``), predicates evaluate
-through :func:`~repro.relational.kernels.predicate_mask`, and any
-unsupported shape returns ``None`` so the caller falls back to the
-row-path projection, which reproduces interpreter behavior exactly.
+through the plan's chain resolver (the kernels a fused FilterPlan
+runs), and any unsupported shape returns ``None`` so the caller falls
+back to the row-path projection, which reproduces interpreter behavior
+exactly.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro import obs
 from repro.plan import plans
@@ -61,21 +60,6 @@ def fast_result(project):
     return result
 
 
-def _chain_mask(scan, filters):
-    """``(store, mask)``: the chain's predicates as one column-kernel
-    mask over the scan's store (``None`` = every row survives), with
-    the scan's actuals set to its full snapshot.  Raises
-    :class:`~repro.relational.kernels.UnsupportedKernel` for shapes the
-    kernels cannot evaluate exactly."""
-    start = time.perf_counter()
-    store = scan.relation.column_store()
-    scan.actual_rows = len(store.rows)
-    scan.actual_time_s = time.perf_counter() - start
-    predicates = [predicate for node in filters
-                  for predicate in node.predicates]
-    return store, kernels.predicate_mask(store, predicates, [scan.binding])
-
-
 # -- vectorized projection ---------------------------------------------------
 
 
@@ -84,10 +68,8 @@ def fast_project(project):
     if statement.order_by and not all(
             isinstance(key, ColumnRef) for key in statement.order_by):
         return None
-    chain = plans._scan_filter_chain(project.child)
-    if chain is None:
+    if plans._chain_scan(project.child) is None:
         return None
-    scan, filters = chain
     scope = project.scope
     # Same expansion + validation as the row path, so unknown columns
     # and ambiguities raise the identical SqlError at the same point.
@@ -95,31 +77,23 @@ def fast_project(project):
     if not all(isinstance(item.expression, ColumnRef) for item in items):
         return None
     try:
-        store, mask = _chain_mask(scan, filters)
+        store, mask = plans._resolve_chain(project.child)
     except kernels.UnsupportedKernel:
         return None
     selection = kernels.to_selection(mask)
-    schema = scan.relation.schema
-    positions = [schema.position(item.expression.column) for item in items]
-    columns = [_gathered(store, position, selection)
-               for position in positions]
+    schema = store.schema
+    columns = [store.gather(schema.position(item.expression.column),
+                            selection)
+               for item in items]
     rows = list(zip(*columns)) if columns else []
-    project.child.actual_rows = len(rows)
     if statement.order_by:
         sort_columns = [
-            _gathered(store, schema.position(key.column), selection)
+            store.gather(schema.position(key.column), selection)
             for key in statement.order_by]
         rows = _executor._sorted_rows(rows, list(zip(*sort_columns)))
     names = _executor._output_names(items)
     return _executor._plain_result(scope, statement, items, names, rows,
                                    project.result_name)
-
-
-def _gathered(store, position: int, selection) -> list:
-    values = store.values(position)
-    if selection is None:
-        return list(values)
-    return [values[i] for i in selection]
 
 
 # -- COUNT / GROUP BY over dictionary codes ----------------------------------
@@ -129,10 +103,9 @@ def fast_aggregate(project):
     statement = project.statement
     if statement.order_by:
         return None
-    chain = plans._scan_filter_chain(project.child)
-    if chain is None:
+    scan = plans._chain_scan(project.child)
+    if scan is None:
         return None
-    scan, filters = chain
     scope = project.scope
     # Same up-front validation as the row path (star/aggregate mixing,
     # GROUP BY membership, reference resolution).
@@ -167,7 +140,7 @@ def fast_aggregate(project):
         if not isinstance(column, columnar.DictionaryColumn):
             return None
     try:
-        store, mask = _chain_mask(scan, filters)
+        store, mask = plans._resolve_chain(project.child)
     except kernels.UnsupportedKernel:
         return None
     agg_positions = sorted({position for kind, position in specs
@@ -176,7 +149,6 @@ def fast_aggregate(project):
         rows = _grouped_counts(store, mask, column, agg_positions, specs)
     else:
         rows = _global_counts(store, mask, agg_positions, specs)
-    project.child.actual_rows = len(rows)
     names = _executor._output_names(statement.items)
     return _executor._grouped_result(scope, statement, names, rows,
                                      project.result_name)

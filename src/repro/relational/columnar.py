@@ -16,15 +16,11 @@ wholesale restores drop the store and the next consumer rebuilds.
 
 numpy is strictly optional: every kernel in
 :mod:`repro.relational.kernels` has a pure-Python path over the same
-store, so the tier-1 suite runs dependency-free.  The whole columnar
-path is gated on ``REPRO_COLUMNAR`` (on by default); an unrecognized
-spelling falls back *loudly* -- one :class:`UserWarning` per distinct
-bad value, mirroring ``REPRO_BATCH_SIZE``.
+store, so the tier-1 suite runs dependency-free.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Any, Iterable, Sequence
 
@@ -33,26 +29,12 @@ from repro.relational.schema import RelationSchema
 
 try:  # optional fast path; the pure-Python kernels are always available
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the FORCE knob
+except ImportError:  # pragma: no cover - the CI leg without numpy
     _np = None
 
 #: ``None`` when numpy is unavailable (or disabled for tests via
 #: :func:`set_numpy_enabled`); the kernels branch on this once per call.
 HAS_NUMPY = _np is not None
-
-#: Spellings of ``REPRO_COLUMNAR`` that disable the columnar path
-#: process-wide (same set the cache knob accepts).
-_OFF_VALUES = frozenset({"off", "0", "false", "no"})
-_ON_VALUES = frozenset({"", "on", "1", "true", "yes"})
-
-#: Session/test override: ``True``/``False`` wins over the environment,
-#: ``None`` defers to ``REPRO_COLUMNAR``.  The differential harness uses
-#: this to pin columnar on/off per engine configuration.
-FORCED: bool | None = None
-
-#: Bad ``REPRO_COLUMNAR`` spellings already warned about (warn once per
-#: distinct value, not once per query).
-_warned_values: set[str] = set()
 
 #: A dictionary column bails out to plain storage once it would hold
 #: more distinct values than this (high-cardinality strings gain nothing
@@ -61,33 +43,6 @@ DICT_MAX_CARDINALITY = 4096
 
 #: Code stored for NULL in a dictionary column's code array.
 NULL_CODE = -1
-
-
-def enabled() -> bool:
-    """Whether the columnar path is on: :data:`FORCED` when set,
-    otherwise ``REPRO_COLUMNAR`` (default on; unrecognized values warn
-    once and keep the default, like ``REPRO_BATCH_SIZE``)."""
-    if FORCED is not None:
-        return FORCED
-    raw = os.environ.get("REPRO_COLUMNAR", "")
-    value = raw.strip().lower()
-    if value in _OFF_VALUES:
-        return False
-    if value in _ON_VALUES:
-        return True
-    if raw not in _warned_values:
-        import warnings
-        _warned_values.add(raw)
-        warnings.warn(
-            f"REPRO_COLUMNAR={raw!r} is not a recognized switch "
-            f"(on/off); keeping the columnar path enabled", stacklevel=2)
-    return True
-
-
-def set_enabled(value: bool | None) -> None:
-    """Set (or clear, with ``None``) the :data:`FORCED` override."""
-    global FORCED
-    FORCED = value
 
 
 def set_numpy_enabled(value: bool) -> None:
@@ -286,12 +241,9 @@ __all__ = [
     "ColumnStore",
     "DICT_MAX_CARDINALITY",
     "DictionaryColumn",
-    "FORCED",
     "HAS_NUMPY",
     "NULL_CODE",
     "PlainColumn",
-    "enabled",
     "numpy_module",
-    "set_enabled",
     "set_numpy_enabled",
 ]

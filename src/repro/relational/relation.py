@@ -166,27 +166,6 @@ class Relation:
         for start in range(0, len(rows), size):
             yield rows[start:start + size]
 
-    def columns(self, *names: str) -> tuple[tuple, ...]:
-        """Value sequences for the named columns, via one transpose.
-
-        ``xs, ys = relation.columns("X", "Y")`` replaces per-row
-        position lookups with positional column extraction -- the shape
-        rule induction and statistics consume.  Shares the single
-        C-speed ``zip(*rows)`` pass with :meth:`column_arrays` instead
-        of one Python pass per requested column.
-        """
-        positions = [self.schema.position(name) for name in names]
-        arrays = self.column_arrays()
-        return tuple(arrays[position] for position in positions)
-
-    def column_arrays(self) -> list[tuple]:
-        """All columns as value tuples, in schema order, via a single
-        transpose of the row list (C-speed ``zip`` instead of one Python
-        pass per column)."""
-        if not self._rows:
-            return [() for _ in self.schema.columns]
-        return list(zip(*self._rows))
-
     def column_store(self):
         """The relation's columnar snapshot (see
         :mod:`repro.relational.columnar`), rebuilt when stale.

@@ -4,9 +4,9 @@ Every statement of a generated program is replayed through several
 independently configured engines -- the reference evaluator
 (:mod:`repro.sql.reference`) vs the cost-based planner, semantic
 optimization on/off, streaming batch sizes {1, 7, default, UNBOUNDED},
-result cache on/off, columnar store on/off, and the direct call path
-vs the server wire path -- and the per-statement outcomes plus the
-final database state must agree bit-for-bit.  A disagreement is a
+result cache on/off, and the direct call path vs the server wire path
+-- and the per-statement outcomes plus the final database state must
+agree bit-for-bit.  A disagreement is a
 :class:`Divergence`; :func:`minimize` delta-debugs the statement list
 down to a minimal reproducer, and :mod:`tests.differential` pins
 minimized cases from ``tests/differential/corpus/`` as regression
@@ -32,7 +32,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.relational import columnar
 from repro.relational.expressions import ColumnRef
 from repro.relational.relation import Relation
 from repro.sql import ast
@@ -88,15 +87,12 @@ class EngineSession:
                  with_rules: bool = False,
                  reinduce_after_dml: bool = False,
                  cache_enabled: bool = False,
-                 batch_size: int | None = None,
-                 columnar_enabled: bool | None = None):
+                 batch_size: int | None = None):
         self.instance = instance
         self.reference = reference
         self.with_rules = with_rules
         self.reinduce_after_dml = reinduce_after_dml
         self.batch_size = batch_size
-        self._columnar_before = columnar.FORCED
-        columnar.set_enabled(columnar_enabled)
         from repro.cache.core import query_cache
         self._cache = query_cache(instance.database)
         self._cache.enabled = cache_enabled
@@ -127,7 +123,7 @@ class EngineSession:
         return rows_fingerprint(self.instance)
 
     def close(self) -> None:
-        columnar.set_enabled(self._columnar_before)
+        """Nothing to release: the session changes no process state."""
 
 
 class ServerSession:
@@ -204,19 +200,12 @@ _register("unbounded", "planner materializing everything per operator",
 _register("cached", "planner behind the version-aware query cache",
           lambda instance: EngineSession(instance, with_rules=True,
                                          cache_enabled=True))
-_register("columnar", "planner over the columnar store with vectorized "
-          "predicate kernels forced on",
-          lambda instance: EngineSession(instance, columnar_enabled=True))
-_register("columnar-off", "planner forced onto the row pipeline "
-          "(columnar store and kernels disabled)",
-          lambda instance: EngineSession(instance, columnar_enabled=False))
 _register("server", "statements shipped over the wire protocol",
           ServerSession)
 
 #: The default matrix: one representative per engine dimension.
 DEFAULT_CONFIGS = ("reference", "planner", "planner-rules", "batch-1",
-                   "unbounded", "cached", "columnar", "columnar-off",
-                   "server")
+                   "unbounded", "cached", "server")
 
 
 # ---------------------------------------------------------------------------

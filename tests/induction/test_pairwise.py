@@ -1,13 +1,21 @@
 """Unit tests for the four-step induction algorithm."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import InductionError
 from repro.induction import (
-    InductionConfig, extract_pairs_native, extract_pairs_quel,
-    induce_from_pairs, induce_scheme,
+    InductionConfig, PairExtraction, extract_pairs_native,
+    extract_pairs_quel, induce_from_pairs, induce_scheme,
 )
-from repro.relational import Database, INTEGER, char
+from repro.induction.pairwise import extract_pairs_columnar
+from repro.relational import (
+    Column, Database, INTEGER, REAL, Relation, RelationSchema, char,
+    columnar,
+)
+from repro.relational.columnar import DICT_MAX_CARDINALITY, PlainColumn
 from repro.rules.clause import AttributeRef
 
 
@@ -138,6 +146,106 @@ class TestInduceScheme:
                 AttributeRef("R", "Y"): relation.value(row, "Y")})
         for rule in rules:
             assert rule.sound_on(records), rule.render()
+
+
+#: Kernel backends to cross-check: numpy (when importable) and the
+#: pure-Python arrays.
+BACKENDS = [True, False] if columnar.HAS_NUMPY else [False]
+
+#: Per-type value pools.  Integers span past 2^63 (int64 offsets from
+#: the minimum wrap there) and, in the ``huge`` pool, past int64 itself.
+VALUE_POOLS = {
+    "integer": (INTEGER, st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from([-2 ** 63, -2 ** 63 + 1, -2 ** 63 + 2, 2 ** 62,
+                         2 ** 62 + 1, 2 ** 63 - 1]))),
+    "huge": (INTEGER, st.sampled_from([-1, 0, 2 ** 64, 2 ** 64 + 1])),
+    "real": (REAL, st.sampled_from([-1.5, 0.0, 0.25, 2.0, 1e300])),
+    "char": (char(8), st.sampled_from(["a", "b", "cc", "ddd"])),
+}
+
+
+def _pair_relation(x_type, y_type, rows) -> Relation:
+    return Relation(RelationSchema("R", [Column("X", x_type),
+                                         Column("Y", y_type)]), rows)
+
+
+def _assert_columnar_matches_native(relation):
+    """Field for field against the native pass, and rule for rule
+    through :func:`induce_scheme` at ``n_c=1``, on every backend."""
+    native = extract_pairs_native((row[0], row[1]) for row in relation)
+    config = InductionConfig(n_c=1)
+    expected_rules = induce_from_pairs(
+        native, AttributeRef("R", "X"), AttributeRef("R", "Y"), config,
+        relation_size=len(relation))
+    for use_numpy in BACKENDS:
+        columnar.set_numpy_enabled(use_numpy)
+        try:
+            extraction = extract_pairs_columnar(relation.column_store(),
+                                                "X", "Y")
+            rules = induce_scheme(relation, "X", "Y", config)
+        finally:
+            columnar.set_numpy_enabled(True)
+        for field in PairExtraction._fields:
+            assert getattr(extraction, field) == getattr(native, field), (
+                field, use_numpy)
+        assert [(r.lhs, r.rhs, r.support) for r in rules] == [
+            (r.lhs, r.rhs, r.support) for r in expected_rules], use_numpy
+
+
+@st.composite
+def pair_relations(draw):
+    """A two-column relation; each column draws its type and whether
+    it holds NULLs (a NULL-free numeric column gets a numpy array)."""
+    columns = []
+    for _ in range(2):
+        datatype, values = VALUE_POOLS[draw(st.sampled_from(sorted(
+            VALUE_POOLS)))]
+        if draw(st.booleans()):
+            values = st.none() | values
+        columns.append((datatype, values))
+    (x_type, x_values), (y_type, y_values) = columns
+    rows = draw(st.lists(st.tuples(x_values, y_values), max_size=30))
+    return _pair_relation(x_type, y_type, rows)
+
+
+class TestExtractColumnar:
+    """The column-store sweep is the ILS's path for schemes within one
+    relation; it must equal the native pass exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair_relations())
+    def test_matches_native_field_for_field(self, relation):
+        _assert_columnar_matches_native(relation)
+
+    @pytest.mark.parametrize("rows, x_type, y_type", [
+        ([(-2 ** 63 + 1, "a"), (-2 ** 63 + 2, "a"), (2 ** 62, "b"),
+          (2 ** 62 + 1, "b")], INTEGER, char(4)),
+        ([("a", -2 ** 63 + 1), ("b", 2 ** 62)], char(4), INTEGER),
+    ], ids=["wide_x", "wide_y"])
+    def test_integer_span_past_int64_offsets(self, rows, x_type, y_type):
+        relation = _pair_relation(x_type, y_type, rows)
+        _assert_columnar_matches_native(relation)
+        assert len(induce_scheme(relation, "X", "Y",
+                                 InductionConfig(n_c=1))) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_high_cardinality_char(self, seed):
+        """Past :data:`DICT_MAX_CARDINALITY` distinct strings a CHAR
+        column is stored plain, with no integer surrogate."""
+        rng = random.Random(seed)
+        keys = [f"k{i:05d}" for i in range(DICT_MAX_CARDINALITY + 200)]
+        rows = [(key, rng.choice(["p", "q", None])) for key in keys]
+        rows += [(rng.choice(keys), rng.choice(["p", "q"]))
+                 for _ in range(500)]
+        rows += [(None, "p"), (rng.choice(keys), None)]
+        relation = _pair_relation(char(8), char(4), rows)
+        assert isinstance(relation.column_store().column("X"), PlainColumn)
+        _assert_columnar_matches_native(relation)
+        # And with the wide column as the classification target.
+        flipped = _pair_relation(char(4), char(8),
+                                 [(y, x) for x, y in rows])
+        _assert_columnar_matches_native(flipped)
 
 
 class TestConfig:

@@ -132,26 +132,20 @@ def test_streaming_matches_materializing(case, batch_size):
 @settings(max_examples=25, deadline=None)
 @given(select_statements(), st.sampled_from([1, 7, None]))
 def test_columnar_matches_row_pipeline(case, batch_size):
-    """REPRO_COLUMNAR is a storage/execution knob, never a semantic
-    one: the fused columnar path yields tuple-for-tuple the rows of the
-    row pipeline at every batch size."""
+    """The column store (fused kernels, vectorized projection) is an
+    execution strategy, never a semantic one: at every batch size the
+    planner returns the reference evaluator's bag of rows and, under
+    ORDER BY (whose key is the one projected column), its exact row
+    sequence."""
     fixture, sql = case
     statement = parse_select(sql)
-
-    def run():
-        return plan_select(fixture.database, statement,
-                           rules=fixture.rules).execute(
-            batch_size=batch_size)
-
-    before = columnar.FORCED
-    try:
-        columnar.set_enabled(True)
-        fused = run()
-        columnar.set_enabled(False)
-        rowwise = run()
-        assert list(fused.rows) == list(rowwise.rows), sql
-    finally:
-        columnar.set_enabled(before)
+    planned = plan_select(fixture.database, statement,
+                          rules=fixture.rules).execute(
+        batch_size=batch_size)
+    reference = execute_select_reference(fixture.database, statement)
+    assert planned == reference, sql
+    if statement.order_by:
+        assert list(planned.rows) == list(reference.rows), sql
 
 
 @pytest.mark.skipif(not columnar.HAS_NUMPY, reason="numpy not installed")
@@ -162,20 +156,15 @@ def test_columnar_pure_python_matches_numpy(case):
     the vectorized path."""
     fixture, sql = case
     statement = parse_select(sql)
-    before = columnar.FORCED
+    vectorized = plan_select(fixture.database, statement,
+                             rules=fixture.rules).execute()
+    columnar.set_numpy_enabled(False)
     try:
-        columnar.set_enabled(True)
-        vectorized = plan_select(fixture.database, statement,
-                                 rules=fixture.rules).execute()
-        columnar.set_numpy_enabled(False)
-        try:
-            pure = plan_select(fixture.database, statement,
-                               rules=fixture.rules).execute()
-        finally:
-            columnar.set_numpy_enabled(True)
-        assert list(vectorized.rows) == list(pure.rows), sql
+        pure = plan_select(fixture.database, statement,
+                           rules=fixture.rules).execute()
     finally:
-        columnar.set_enabled(before)
+        columnar.set_numpy_enabled(True)
+    assert list(vectorized.rows) == list(pure.rows), sql
 
 
 @settings(max_examples=25, deadline=None)

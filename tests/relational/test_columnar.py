@@ -1,15 +1,12 @@
-"""The columnar store: layout, dictionary encoding, kernels, knobs.
+"""The columnar store: layout, dictionary encoding, kernels.
 
 The columnar path is a pure storage/execution refactor -- every test
 here pins some facet of "the rows are authoritative and the store is an
 exact, version-validated cache over them": dictionary round-trips,
 append-only code spaces under DML, kernel masks agreeing with per-row
 predicate evaluation over encoded and raw layouts (across the ship and
-hospital domains), the ``REPRO_COLUMNAR`` knob's loud fallback, and the
-result cache's indifference to the storage layout.
+hospital domains), and the batched row accessors beside the store.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,73 +260,16 @@ def test_membership_and_notnull_masks():
         store, relation.schema.position("Id")) is None  # provably no NULLs
 
 
-# -- the REPRO_COLUMNAR knob -------------------------------------------------
-
-
-def test_env_knob_spellings(monkeypatch):
-    monkeypatch.setattr(columnar, "FORCED", None)
-    for value in ("off", "0", "false", "no"):
-        monkeypatch.setenv("REPRO_COLUMNAR", value)
-        assert not columnar.enabled()
-    for value in ("", "on", "1", "true", "yes"):
-        monkeypatch.setenv("REPRO_COLUMNAR", value)
-        assert columnar.enabled()
-    monkeypatch.delenv("REPRO_COLUMNAR")
-    assert columnar.enabled()  # on by default
-
-
-def test_env_knob_unrecognized_warns_once(monkeypatch):
-    monkeypatch.setattr(columnar, "FORCED", None)
-    monkeypatch.setattr(columnar, "_warned_values", set())
-    monkeypatch.setenv("REPRO_COLUMNAR", "sideways")
-    with pytest.warns(UserWarning, match="REPRO_COLUMNAR='sideways'"):
-        assert columnar.enabled()  # loud fallback: stays enabled
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert columnar.enabled()  # same value: warned once already
-
-
-def test_forced_override_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_COLUMNAR", "off")
-    columnar.set_enabled(True)
-    try:
-        assert columnar.enabled()
-        columnar.set_enabled(False)
-        monkeypatch.setenv("REPRO_COLUMNAR", "on")
-        assert not columnar.enabled()
-    finally:
-        columnar.set_enabled(None)
-    assert columnar.enabled()  # back to the environment (now "on")
-
-
 # -- batched accessor edge cases (satellites) --------------------------------
-
-
-def test_columns_single_transpose_matches_column_arrays():
-    relation = _relation(ROWS)
-    arrays = relation.column_arrays()
-    assert relation.columns("Id", "Score", "Label") == (
-        arrays[0], arrays[1], arrays[2])
-    # Requested order, not schema order -- and repeats are allowed.
-    assert relation.columns("Label", "Id", "Label") == (
-        arrays[2], arrays[0], arrays[2])
 
 
 def test_columns_empty_relation():
     relation = _relation([])
-    assert relation.columns("Id", "Label") == ((), ())
-    assert relation.column_arrays() == [(), (), ()]
     assert list(relation.iter_batches(10)) == []
     store = relation.column_store()
     assert len(store) == 0
     assert kernels.predicate_mask(
         store, [Comparison("=", ColumnRef("Id"), Literal(1))]) is not None
-
-
-def test_columns_unknown_attribute_raises_schema_error():
-    relation = _relation(ROWS)
-    with pytest.raises(SchemaError, match="Bogus"):
-        relation.columns("Id", "Bogus")
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -348,35 +288,3 @@ def test_iter_batches_snapshots_at_iteration_start():
     assert first + remaining == ROWS  # pinned: mutation not observed
     fresh = [row for batch in relation.iter_batches(10) for row in batch]
     assert fresh[-1] == (99, 9.9, "z")  # the next stream sees it
-
-
-# -- cache keys are layout-independent ---------------------------------------
-
-
-def test_result_cache_hits_across_columnar_flip():
-    from repro.cache.core import query_cache
-    from repro.sql.parser import parse_select
-    from repro.relational.database import Database
-
-    database = Database("cachecheck")
-    database.create(
-        "ITEM", [("Id", INTEGER), ("Label", char(8))],
-        rows=[(i, f"L{i % 3}") for i in range(50)], key=["Id"])
-    cache = query_cache(database)
-    cache.enabled = True
-    cache.floor_s = 0.0  # admit even instant results for this check
-    statement = parse_select(
-        "SELECT Id FROM ITEM WHERE ITEM.Label = 'L1'")
-    before = columnar.FORCED
-    try:
-        columnar.set_enabled(True)
-        first = cache.execute_select(statement)
-        misses = cache.counters.get("result.miss", 0)
-        columnar.set_enabled(False)
-        second = cache.execute_select(statement)
-        assert cache.counters.get("result.hit", 0) >= 1
-        assert cache.counters.get("result.miss", 0) == misses
-        assert list(first.rows) == list(second.rows)
-    finally:
-        columnar.set_enabled(before)
-        cache.enabled = False

@@ -156,17 +156,6 @@ class TestBatchAccessors:
         with pytest.raises(ValueError):
             list(self.relation().iter_batches(0))
 
-    def test_columns_positional(self):
-        names, ages = self.relation().columns("Name", "Age")
-        assert names == ("alice", "bob", "carol", "dave")
-        assert ages == (41, 38, None, 29)
-
-    def test_column_arrays_transpose(self):
-        arrays = self.relation().column_arrays()
-        assert arrays[1] == (41, 38, None, 29)
-        empty = Relation(SCHEMA, [])
-        assert empty.column_arrays() == [(), (), ()]
-
     def test_row_view_mapping_interface(self):
         relation = self.relation()
         view = relation.row_view()

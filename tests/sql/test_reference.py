@@ -170,18 +170,17 @@ BAD_GROUPED_ORDER = [
 
 
 @pytest.mark.parametrize("sql", BAD_GROUPED_ORDER)
-@pytest.mark.parametrize("columnar_on", [True, False])
-def test_grouped_order_by_validated_up_front(ship_db, sql, columnar_on):
+@pytest.mark.parametrize("use_numpy", [True, False])
+def test_grouped_order_by_validated_up_front(ship_db, sql, use_numpy):
     """Grouped queries resolve ORDER BY before any row is read, so an
-    unknown sort column is a SqlError even over an empty input, on the
-    row path, the vectorized path and the reference alike."""
+    unknown sort column is a SqlError even over an empty input, in the
+    planner (numpy or pure-Python kernels) and the reference alike."""
     statement = parse_select(sql)
-    before = columnar.FORCED
-    columnar.set_enabled(columnar_on)
+    columnar.set_numpy_enabled(use_numpy)
     try:
         with pytest.raises(SqlError, match="no column 'Nope'"):
             plan_select(ship_db, statement).execute()
     finally:
-        columnar.set_enabled(before)
+        columnar.set_numpy_enabled(True)
     with pytest.raises(SqlError, match="no column 'Nope'"):
         execute_select_reference(ship_db, statement)
