@@ -10,7 +10,7 @@ interpretation over a nested-loop product; target >= 2x).  The range
 is spelled ``ENTITY.Size + 0 > 150``: the column kernels refuse
 arithmetic, so the filter streams through compiled closures over
 TableScan morsels, the row pipeline this experiment measures.  A point
-lookup through the hash index bounds the cost of streaming on queries
+lookup through the sorted index bounds the cost of streaming on queries
 that are already index-fast: default morsels may add at most 10% over
 one :data:`UNBOUNDED` batch (every node materializing its whole output),
 both compiled.

@@ -13,15 +13,29 @@ plus execution, never a query-cache hit.  Also covers planning overhead
 on an indexed point lookup (planning must not swamp a sub-millisecond
 probe) and the semantic short-circuit, which answers a contradictory
 query without touching any row.
+
+The access-path leg guards the planner's choice itself: the 2.5% range
+runs both as an index scan and as a filtered table scan (the plan the
+planner did not pick is built here by hand), with numpy and with the
+pure-Python kernels, and on each backend the pick must run within
+:data:`ACCESS_PATH_TOLERANCE` of the faster path.  A 25% range is
+recorded the same way, unguarded.
 """
 
+import statistics as stats_module
 import time
 
 import pytest
 
 from repro.plan.planner import plan_select
+from repro.plan.plans import (
+    FilterPlan, IndexScanPlan, ProjectPlan, TableScanPlan,
+)
 from repro.plan.stats import statistics
+from repro.relational import columnar
 from repro.reporting import render_table
+from repro.rules.clause import Interval
+from repro.sql.executor import Scope
 from repro.sql.parser import parse_select
 from repro.sql.reference import execute_select_reference
 from repro.testbed.generators import synthetic_classified_database
@@ -37,7 +51,18 @@ RANGE_SQL = ("SELECT Id, Label FROM ITEM "
              "WHERE Value >= 1000 AND Value < 1050")
 POINT_SQL = "SELECT Label FROM ITEM WHERE Value = 1024"
 
+#: ``low <= Value < high`` of the access-path leg: the 2.5% range of
+#: RANGE_SQL (guarded) and a 25% one (recorded only).
+ACCESS_RANGES = {"narrow": (1000, 1050), "wide": (1000, 1500)}
+
+#: The planner's pick must run within this factor of the faster path.
+ACCESS_PATH_TOLERANCE = 1.25
+
+#: Interleaved timed runs per path (medians need at least 15).
+ACCESS_PATH_RUNS = 25
+
 _RESULTS: dict[str, tuple[float, float]] = {}
+_ACCESS: dict[str, dict] = {}
 
 
 @pytest.fixture(scope="module")
@@ -94,9 +119,9 @@ def test_selective_range_speedup(benchmark, synth_db):
 
 
 def test_point_lookup_overhead_is_bounded(benchmark, synth_db):
-    """An equality probe through the hash index is already fast, so
-    planning must not swamp it: plan + execute stays within 5x of
-    executing the same plan built beforehand."""
+    """An equality probe (a one-value range of the sorted index) is
+    already fast, so planning must not swamp it: plan + execute stays
+    within 5x of executing the same plan built beforehand."""
     statement = parse_select(POINT_SQL)
     result = benchmark(lambda: _planned(synth_db, statement))
     assert len(result) >= 0
@@ -112,6 +137,72 @@ def test_point_lookup_overhead_is_bounded(benchmark, synth_db):
     assert planner_s <= execute_s * 5, (
         f"planning overhead too high: {planner_s * 1000:.3f}ms planned "
         f"vs {execute_s * 1000:.3f}ms executing the prebuilt plan")
+
+
+def _access_paths(database, low, high):
+    """The statement for ``low <= Value < high`` and its two access
+    paths as prebuilt plans: ``{"index": ..., "scan": ...}``."""
+    statement = parse_select(f"SELECT Id, Label FROM ITEM "
+                             f"WHERE Value >= {low} AND Value < {high}")
+    scope = Scope(database, statement.tables)
+    (binding,) = scope.bindings
+    stats = statistics(database).table_stats("ITEM")
+    index = IndexScanPlan(scope, binding, "Value",
+                          Interval(low, high, high_open=True), stats)
+    scan = FilterPlan(TableScanPlan(scope, binding, stats),
+                      [statement.where],
+                      index.records_output() / stats.row_count)
+    return statement, {name: ProjectPlan(scope, statement, child)
+                       for name, child in (("index", index),
+                                           ("scan", scan))}
+
+
+def _time_paths(database, low, high) -> dict:
+    """Median and quartiles of each path's execution over interleaved
+    runs, and which path the planner picks."""
+    statement, paths = _access_paths(database, low, high)
+    reference = execute_select_reference(database, statement)
+    for plan in paths.values():
+        assert plan.execute_relation() == reference
+    picked = plan_select(database, statement).root.child
+    pick = "index" if isinstance(picked, IndexScanPlan) else "scan"
+    times: dict[str, list[float]] = {name: [] for name in paths}
+    for _ in range(ACCESS_PATH_RUNS):
+        for name, plan in paths.items():
+            start = time.perf_counter()
+            plan.execute_relation()
+            times[name].append(time.perf_counter() - start)
+    entry: dict = {"pick": pick, "rows": len(reference)}
+    for name, values in times.items():
+        q1, median, q3 = stats_module.quantiles(values, n=4)
+        entry[f"{name}_ms"] = median * 1000
+        entry[f"{name}_iqr_ms"] = (q3 - q1) * 1000
+    entry["pick_vs_fastest"] = entry[f"{pick}_ms"] / min(
+        entry["index_ms"], entry["scan_ms"])
+    return entry
+
+
+def test_access_path_choice(synth_db):
+    """On each backend the planner's pick for the 2.5% range runs
+    within ACCESS_PATH_TOLERANCE of the faster path."""
+    backends = ["numpy", "pure"] if columnar.HAS_NUMPY else ["pure"]
+    failures = []
+    try:
+        for backend in backends:
+            columnar.set_numpy_enabled(backend == "numpy")
+            for label, (low, high) in ACCESS_RANGES.items():
+                entry = _time_paths(synth_db, low, high)
+                _ACCESS.setdefault(backend, {})[label] = entry
+                if label != "narrow":
+                    continue
+                passed = entry["pick_vs_fastest"] <= ACCESS_PATH_TOLERANCE
+                entry.update(guard=f"pick <= {ACCESS_PATH_TOLERANCE}x the "
+                                   f"faster path", guard_passed=passed)
+                if not passed:
+                    failures.append(f"{backend}: {entry}")
+    finally:
+        columnar.set_numpy_enabled(True)
+    assert not failures, failures
 
 
 def test_contradiction_short_circuit(benchmark, synth_db):
@@ -135,8 +226,23 @@ def test_contradiction_short_circuit(benchmark, synth_db):
     rows = [[label, f"{entry['planner_s'] * 1000:.3f}",
              f"{entry['naive_s'] * 1000:.3f}", f"{entry['speedup']:.1f}x"]
             for label, entry in sorted(_RESULTS.items())]
+    text = render_table(["query", "planner ms", "naive ms", "speedup"],
+                        rows)
+    data = dict(sorted(_RESULTS.items()))
+    if _ACCESS:
+        access_rows = [
+            [backend, f"{label} ({entry['rows']} rows)", entry["pick"],
+             f"{entry['index_ms']:.3f}", f"{entry['index_iqr_ms']:.3f}",
+             f"{entry['scan_ms']:.3f}", f"{entry['scan_iqr_ms']:.3f}",
+             f"{entry['pick_vs_fastest']:.2f}x"]
+            for backend, ranges in _ACCESS.items()
+            for label, entry in ranges.items()]
+        text += ("\n\nAccess paths (medians and interquartile ranges of "
+                 f"{ACCESS_PATH_RUNS} interleaved runs, execution only)\n"
+                 + render_table(["backend", "range", "pick", "index ms",
+                                 "IQR", "scan ms", "IQR", "pick/fastest"],
+                                access_rows))
+        data["access_path"] = _ACCESS
     record_report(
         "E19", f"Planner vs reference evaluator (ITEM, {N_ROWS} rows)",
-        render_table(["query", "planner ms", "naive ms", "speedup"],
-                     rows),
-        data=dict(sorted(_RESULTS.items())))
+        text, data=data)

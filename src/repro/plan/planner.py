@@ -11,9 +11,9 @@ The planner turns a parsed SELECT into a tree of plan nodes
    :mod:`repro.plan.semantic` proves them unsatisfiable against the
    induced rules (short-circuit to an EmptyPlan) or tightens them.
 3. The access path per binding is chosen by estimated selectivity: a
-   hash-index probe for equality, a sorted-index range scan for
-   selective ranges, a table scan otherwise; unconsumed predicates
-   stack as a FilterPlan.
+   sorted-index scan for equality (a one-value range) or a selective
+   range, a table scan otherwise; unconsumed predicates stack as a
+   FilterPlan.
 4. Joins are ordered greedily by estimated output cardinality (the
    SimpleDB ``records_output``/``distinct_values`` cost shape).
 """

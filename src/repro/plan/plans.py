@@ -174,21 +174,22 @@ def default_batch_size() -> int:
     return value
 
 
-def _chain_scan(plan: "Plan") -> "TableScanPlan | None":
-    """The scan under *plan* when *plan* is a single-binding chain -- a
-    TableScan, or a Filter over one (the planner builds at most one
-    FilterPlan per binding) -- else ``None``."""
-    scan = plan.child if isinstance(plan, FilterPlan) else plan
-    return scan if isinstance(scan, TableScanPlan) else None
+def _chain_scan(plan: "Plan") -> "TableScanPlan | IndexScanPlan | None":
+    """The access path under *plan* when *plan* is a single-binding
+    chain -- a TableScan or IndexScan, or a Filter over one (the planner
+    builds at most one FilterPlan per binding) -- else ``None``."""
+    leaf = plan.child if isinstance(plan, FilterPlan) else plan
+    return leaf if isinstance(leaf, (TableScanPlan, IndexScanPlan)) else None
 
 
 def _resolve_chain(plan: "Plan"):
-    """Evaluate a single-binding chain (see :func:`_chain_scan`) as
-    column kernels.
+    """Evaluate a single-binding chain (see :func:`_chain_scan`) as a
+    :class:`~repro.relational.kernels.Selection` of its relation's
+    current column store, or ``None`` when *plan* is not a chain.
 
-    Returns ``(store, mask)``, where *mask* selects the survivors of the
-    store's aligned row snapshot (``None`` = all), or ``None`` when
-    *plan* is not a chain.  Sets each chain node's actual rows and
+    An IndexScan's range is the starting selection, so a Filter over it
+    tests only those positions; the store and the positions come from
+    the same relation version.  Sets each chain node's actual rows and
     inclusive time to what the row path accumulates on full
     consumption.  Raises
     :class:`~repro.relational.kernels.UnsupportedKernel` when a
@@ -196,19 +197,34 @@ def _resolve_chain(plan: "Plan"):
     the chain through compiled closures, which re-resolve everything
     and surface exact interpreter semantics.
     """
-    scan = _chain_scan(plan)
-    if scan is None:
+    leaf = _chain_scan(plan)
+    if leaf is None:
         return None
     start = time.perf_counter()
-    store = scan.relation.column_store()
-    scan.actual_rows = len(store)
-    scan.actual_time_s = time.perf_counter() - start
-    if plan is scan:
-        return store, None
-    mask = kernels.predicate_mask(store, plan.predicates, [scan.binding])
-    plan.actual_rows = kernels.count(mask, len(store))
+    selected = kernels.Selection(
+        leaf.relation.column_store(),
+        positions=(leaf.positions() if isinstance(leaf, IndexScanPlan)
+                   else None))
+    leaf.actual_rows = len(selected)
+    leaf.actual_time_s = time.perf_counter() - start
+    if plan is leaf:
+        return selected
+    selected = selected.restrict(kernels.predicate_mask, plan.predicates,
+                                 [leaf.binding])
+    plan.actual_rows = len(selected)
     plan.actual_time_s = time.perf_counter() - start
-    return store, mask
+    return selected
+
+
+def _chain_batches(selected, size: int) -> Iterator[list[tuple]]:
+    """Batches of ``(row,)`` for a resolved chain's rows (see
+    :func:`_resolve_chain`), in table order."""
+    rows = selected.store.rows
+    positions = selected.positions()
+    if positions is None:
+        positions = range(len(rows))
+    for start in range(0, len(positions), size):
+        yield [(rows[i],) for i in positions[start:start + size]]
 
 
 def _fused_chain(node_type: str, plan: "Plan"):
@@ -377,10 +393,10 @@ class TableScanPlan(Plan):
 
 
 class IndexScanPlan(Plan):
-    """Index access path for one binding: equality probes go through a
-    :class:`~repro.relational.indexes.HashIndex`, range probes through a
-    :class:`~repro.relational.indexes.SortedIndex` (both cached on the
-    database and version-checked).  The index is resolved when the first
+    """Index access path for one binding: the rows whose column lies in
+    *interval* (a point is the one-value range), found by bisection in
+    a :class:`~repro.relational.indexes.SortedIndex` cached on the
+    database and version-checked.  The index is resolved when the first
     batch is requested -- not at plan time -- so mutations between
     planning and execution are seen through the cache's staleness
     check."""
@@ -393,7 +409,6 @@ class IndexScanPlan(Plan):
         self.column = column
         self.interval = interval
         self.stats = stats
-        self.kind = "hash" if interval.is_point() else "sorted"
 
     def records_output(self) -> float:
         fraction = self.stats.selectivity(self.column, self.interval)
@@ -412,25 +427,21 @@ class IndexScanPlan(Plan):
         return min(float(self.stats.distinct_values(column)),
                    max(1.0, self.records_output()))
 
-    def _matches(self) -> list[tuple]:
-        cache = self.scope.database.indexes
-        if self.kind == "hash":
-            index = cache.hash_index(self.relation, self.column)
-            return index.lookup(self.interval.low)
-        index = cache.sorted_index(self.relation, self.column)
-        return list(index.range(
-            self.interval.low, self.interval.high,
-            low_inclusive=not self.interval.low_open,
-            high_inclusive=not self.interval.high_open))
+    def positions(self) -> list[int]:
+        """Ascending positions of the matching rows in the store."""
+        index = self.scope.database.indexes.sorted_index(self.relation,
+                                                         self.column)
+        interval = self.interval
+        return index.range(interval.low, interval.high,
+                           low_inclusive=not interval.low_open,
+                           high_inclusive=not interval.high_open)
 
     def _batches(self, size: int) -> Iterator[list[tuple]]:
-        matches = self._matches()
-        for start in range(0, len(matches), size):
-            yield [(row,) for row in matches[start:start + size]]
+        yield from _chain_batches(_resolve_chain(self), size)
 
     def label(self) -> str:
         return (f"IndexScan {self.relation.name} on {self.column} "
-                f"[{self.interval.render(self.column)}] ({self.kind})")
+                f"[{self.interval.render(self.column)}]")
 
 
 class FilterPlan(Plan):
@@ -464,26 +475,10 @@ class FilterPlan(Plan):
         return [compiled.compile_expression(predicate, resolve)
                 for predicate in self.predicates]
 
-    def _fused_selection(self):
-        """``(rows, selection)`` via column kernels when this node tops
-        a kernel-capable scan+filter chain, else ``None`` (row path)."""
-        chain = _fused_chain("FilterPlan", self)
-        if chain is None:
-            return None
-        store, mask = chain
-        return store.rows, kernels.to_selection(mask)
-
     def _batches(self, size: int) -> Iterator[list[tuple]]:
-        fused = self._fused_selection()
+        fused = _fused_chain("FilterPlan", self)
         if fused is not None:
-            rows, selection = fused
-            if selection is None:
-                for start in range(0, len(rows), size):
-                    yield [(row,) for row in rows[start:start + size]]
-            else:
-                for start in range(0, len(selection), size):
-                    yield [(rows[i],)
-                           for i in selection[start:start + size]]
+            yield from _chain_batches(fused, size)
             return
         tests = self._compiled_predicates()
         if len(tests) == 1:
@@ -561,10 +556,11 @@ class HashJoinPlan(Plan):
 
     def _batches(self, size: int) -> Iterator[list[tuple]]:
         left_keys, right_keys = self._key_positions()
-        fused_build = self._fused_build(right_keys)
-        if fused_build is not None:
-            yield from self._join_fused_build(fused_build, left_keys,
-                                              right_keys, size)
+        build = (_fused_chain("HashJoinPlan", self.right)
+                 if len(self.edges) == 1 else None)
+        if build is not None:
+            yield from self._join_fused_build(build, left_keys[0],
+                                              right_keys[0][1], size)
             return
         buckets: dict[tuple, list[tuple]] = {}
         for batch in self.right.batches(size):
@@ -575,10 +571,6 @@ class HashJoinPlan(Plan):
                 buckets.setdefault(key, []).append(rows)
         if not buckets:
             return  # early termination: the left side is never pulled
-        fused = _fused_chain("HashJoinPlan", self.left)
-        if fused is not None:
-            yield from self._probe_columnar(fused, buckets, left_keys, size)
-            return
         out: list[tuple] = []
         for batch in self.left.batches(size):
             for rows in batch:
@@ -593,49 +585,31 @@ class HashJoinPlan(Plan):
         if out:
             yield out
 
-    def _fused_build(self, right_keys):
-        """Resolve the build (right) side through column kernels when it
-        is a kernel-capable scan+filter chain over a single join key;
-        ``None`` = build buckets from streamed right batches."""
-        if len(self.edges) != 1:
-            return None
-        chain = _fused_chain("HashJoinPlan", self.right)
-        if chain is None:
-            return None
-        store, mask = chain
-        # NULL join keys never enter buckets, so fold their exclusion
-        # into the build mask up front.
-        return store, kernels.combine_and(
-            mask, kernels.notnull_mask(store, right_keys[0][1]))
-
-    def _join_fused_build(self, fused, left_keys, right_keys,
+    def _join_fused_build(self, build, left_key, position: int,
                           size: int) -> Iterator[list[tuple]]:
-        """Join with a columnar build side: the probe keys are collected
-        first and pushed into the build side as a vectorized membership
-        prefilter (a semi-join), so only build rows that can match at
-        all pay the per-row bucket insert.  Output order matches the row
-        path exactly (left row order, build ascending order per bucket).
+        """Join on one key with a resolved build (right) chain, keyed on
+        its column at *position*: the probe keys are collected first and
+        pushed into the build side as a vectorized membership prefilter
+        (a semi-join), so only build rows that can match at all pay the
+        per-row bucket insert.  Output order matches the row path
+        exactly (left row order, build ascending order per bucket).
         """
-        store, mask = fused
-        rows = store.rows
-        if kernels.count(mask, len(rows)) == 0:
+        # NULL join keys never enter buckets, so fold their exclusion
+        # into the build selection up front.
+        build = build.restrict(kernels.notnull_mask, position)
+        if not len(build):
             return  # early termination: the left side is never pulled
-        slot, left_position = left_keys[0]
+        slot, left_position = left_key
         left_rows = [joined for batch in self.left.batches(size)
                      for joined in batch]
         probe_keys = {joined[slot][left_position] for joined in left_rows}
         probe_keys.discard(None)
-        position = right_keys[0][1]
         buckets: dict[Any, list[tuple]] = {}
         if probe_keys:
-            member = kernels.membership_mask(store, position,
-                                             list(probe_keys))
-            selection = kernels.to_selection(
-                kernels.combine_and(mask, member))
-            column = store.values(position)
-            if selection is None:
-                selection = range(len(rows))
-            for i in selection:
+            member = build.restrict(kernels.membership_mask, position,
+                                    list(probe_keys))
+            rows, column = build.store.rows, build.store.values(position)
+            for i in member.positions():
                 buckets.setdefault(column[i], []).append((rows[i],))
         out: list[tuple] = []
         for joined in left_rows:
@@ -647,55 +621,6 @@ class HashJoinPlan(Plan):
                 if len(out) >= size:
                     yield out
                     out = []
-        if out:
-            yield out
-
-    def _probe_columnar(self, fused, buckets, left_keys,
-                        size: int) -> Iterator[list[tuple]]:
-        """Probe *buckets* with the fused left side: a vectorized
-        membership prefilter shrinks the selection to rows whose key
-        occurs on the build side at all, then only those few rows pay
-        the per-row bucket lookup.  Output order matches the row path
-        exactly (left row order, build insertion order per bucket)."""
-        store, mask = fused
-        rows = store.rows
-        positions = [position for _slot, position in left_keys]
-        out: list[tuple] = []
-        if len(positions) == 1:
-            position = positions[0]
-            scalar_buckets = {key[0]: matches
-                              for key, matches in buckets.items()}
-            member = kernels.membership_mask(store, position,
-                                             list(scalar_buckets))
-            selection = kernels.to_selection(
-                kernels.combine_and(mask, member))
-            column = store.values(position)
-            for i in selection:
-                matches = scalar_buckets.get(column[i])
-                if not matches:
-                    continue
-                base = (rows[i],)
-                for match in matches:
-                    out.append(base + match)
-                    if len(out) >= size:
-                        yield out
-                        out = []
-        else:
-            columns = [store.values(position) for position in positions]
-            selection = kernels.to_selection(mask)
-            indexes = (range(len(rows)) if selection is None
-                       else selection)
-            for i in indexes:
-                key = tuple(column[i] for column in columns)
-                matches = buckets.get(key)
-                if not matches:
-                    continue
-                base = (rows[i],)
-                for match in matches:
-                    out.append(base + match)
-                    if len(out) >= size:
-                        yield out
-                        out = []
         if out:
             yield out
 

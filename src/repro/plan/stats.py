@@ -158,12 +158,16 @@ class ColumnStats:
         self.non_null = len(present)
         self.nulls = len(values) - len(present)
         self.distinct = len(set(present))
+        # NaN is neither below nor above any value, so it has no place
+        # in an order: min, max and the histogram leave it out (as the
+        # sorted index does).
+        ordered = [v for v in present if v == v]
         try:
-            self.min = min(present) if present else None
-            self.max = max(present) if present else None
+            self.min = min(ordered) if ordered else None
+            self.max = max(ordered) if ordered else None
         except TypeError:  # mixed, incomparable values
             self.min = self.max = None
-        self.histogram = Histogram.build(present)
+        self.histogram = Histogram.build(ordered)
 
     @classmethod
     def from_column(cls, name: str, column) -> "ColumnStats":

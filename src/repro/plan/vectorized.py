@@ -6,8 +6,9 @@ per-output-row compiled projection closures.  This module removes that
 tail for the common shapes:
 
 * :func:`fast_project` -- when every SELECT item (and every ORDER BY
-  key) is a plain column reference over a single scan(+filter) chain,
-  survivors are gathered *column-at-a-time* from the
+  key) is a plain column reference over a single-binding chain (a
+  table or index scan, optionally filtered), the selected row
+  positions are gathered *column-at-a-time* from the
   :class:`~repro.relational.columnar.ColumnStore` and transposed with
   one ``zip`` instead of calling one closure per item per row.
 * :func:`fast_aggregate` -- COUNT(*) / COUNT(col) and GROUP BY over a
@@ -77,19 +78,17 @@ def fast_project(project):
     if not all(isinstance(item.expression, ColumnRef) for item in items):
         return None
     try:
-        store, mask = plans._resolve_chain(project.child)
+        selected = plans._resolve_chain(project.child)
     except kernels.UnsupportedKernel:
         return None
-    selection = kernels.to_selection(mask)
-    schema = store.schema
-    columns = [store.gather(schema.position(item.expression.column),
-                            selection)
+    schema = selected.store.schema
+    selected = selected.store.take(selected.positions())
+    columns = [selected.values(schema.position(item.expression.column))
                for item in items]
     rows = list(zip(*columns)) if columns else []
     if statement.order_by:
-        sort_columns = [
-            store.gather(schema.position(key.column), selection)
-            for key in statement.order_by]
+        sort_columns = [selected.values(schema.position(key.column))
+                        for key in statement.order_by]
         rows = _executor._sorted_rows(rows, list(zip(*sort_columns)))
     names = _executor._output_names(items)
     return _executor._plain_result(scope, statement, items, names, rows,
@@ -140,44 +139,42 @@ def fast_aggregate(project):
         if not isinstance(column, columnar.DictionaryColumn):
             return None
     try:
-        store, mask = plans._resolve_chain(project.child)
+        selected = plans._resolve_chain(project.child)
     except kernels.UnsupportedKernel:
         return None
     agg_positions = sorted({position for kind, position in specs
                             if kind == "count"})
     if column is not None:
-        rows = _grouped_counts(store, mask, column, agg_positions, specs)
+        rows = _grouped_counts(selected, column, agg_positions, specs)
     else:
-        rows = _global_counts(store, mask, agg_positions, specs)
+        rows = _global_counts(selected, agg_positions, specs)
     names = _executor._output_names(statement.items)
     return _executor._grouped_result(scope, statement, names, rows,
                                      project.result_name)
 
 
-def _global_counts(store, mask, agg_positions, specs) -> list[tuple]:
-    """One output row of global COUNTs over the rows *mask* keeps."""
-    total_rows = len(store.rows)
-    notnull = {position: kernels.count(kernels.combine_and(
-                   mask, kernels.notnull_mask(store, position)), total_rows)
+def _global_counts(selected, agg_positions, specs) -> list[tuple]:
+    """One output row of global COUNTs over the *selected* rows."""
+    notnull = {position: len(selected.restrict(kernels.notnull_mask,
+                                               position))
                for position in agg_positions}
-    total_count = kernels.count(mask, total_rows)
-    return [tuple(total_count if kind == "count_star"
+    return [tuple(len(selected) if kind == "count_star"
                   else notnull[position]
                   for kind, position in specs)]
 
 
-def _grouped_counts(store, mask, column, agg_positions, specs
+def _grouped_counts(selected, column, agg_positions, specs
                     ) -> list[tuple]:
-    """GROUP BY over a dictionary column, reduced over codes: a count
-    per code and a non-null count per code per COUNT column, groups in
-    order of first appearance, exactly the row path's group order.
-    Tallies are indexed by ``code + 1`` so the NULL code (-1) lands in
-    slot 0."""
+    """GROUP BY over a dictionary column of the *selected* rows,
+    reduced over codes: a count per code and a non-null count per code
+    per COUNT column, groups in order of first appearance, exactly the
+    row path's group order.  Tallies are indexed by ``code + 1`` so the
+    NULL code (-1) lands in slot 0."""
+    store = selected.store
     cardinality = len(column.values)
     np = columnar.numpy_module()
     if np is not None:
-        codes = column.np_codes()
-        sel_codes = codes if mask is None else codes[mask]
+        sel_codes = selected.pick(column.np_codes())
         counts = np.bincount(sel_codes + 1, minlength=cardinality + 1)
         uniq, first = np.unique(sel_codes, return_index=True)
         order_codes = [int(code) for code in uniq[np.argsort(first)]]
@@ -188,14 +185,12 @@ def _grouped_counts(store, mask, column, agg_positions, specs
                 notnull[position] = counts
             else:
                 notnull[position] = np.bincount(
-                    sel_codes + 1,
-                    weights=part if mask is None else part[mask],
+                    sel_codes + 1, weights=selected.pick(part),
                     minlength=cardinality + 1)
     else:
         codes = column.codes
-        selection = kernels.to_selection(mask)
-        indices = (range(len(store.rows)) if selection is None
-                   else selection)
+        positions = selected.positions()
+        indices = range(len(store)) if positions is None else positions
         plain_values = {position: store.values(position)
                         for position in agg_positions}
         counts = [0] * (cardinality + 1)

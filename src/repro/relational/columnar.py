@@ -110,6 +110,14 @@ class DictionaryColumn:
                              for code in self.codes]
         return self._decoded
 
+    def take(self, selection: Sequence[int]) -> "DictionaryColumn":
+        """The codes at *selection*, sharing this column's value table
+        (read-only: the result is never appended to)."""
+        taken, codes = DictionaryColumn(), self.codes
+        taken.codes = array("i", [codes[i] for i in selection])
+        taken.values, taken._code_of = self.values, self._code_of
+        return taken
+
     def np_codes(self):
         """The code array as an int32 numpy array (cached), or ``None``
         without numpy."""
@@ -139,6 +147,11 @@ class PlainColumn:
     def append(self, value: Any) -> None:
         self.values.append(value)
         self._array_stale = True
+
+    def take(self, selection: Sequence[int]) -> "PlainColumn":
+        """The values at *selection* as a column of their own."""
+        values = self.values
+        return PlainColumn([values[i] for i in selection], self.datatype)
 
     def array(self):
         """numpy array of the values, or ``None`` when numpy is off,
@@ -206,13 +219,9 @@ class ColumnStore:
             return column.decode()
         return column.values
 
-    def gather(self, position: int, selection) -> list:
-        """Values of the column at *position* for the selected row
-        indices (``None`` selection = every row)."""
-        values = self.values(position)
-        if selection is None:
-            return list(values)
-        return [values[i] for i in selection]
+    def take(self, selection) -> "ColumnStore | ColumnSelection":
+        """The rows at *selection* (``None``: every row) as a store."""
+        return self if selection is None else ColumnSelection(self, selection)
 
     def append_rows(self, rows: Iterable[tuple]) -> None:
         """Fold freshly inserted rows into the store in place.  Only
@@ -223,6 +232,38 @@ class ColumnStore:
             self.rows.append(row)
             for column, value in zip(self.columns, row):
                 column.append(value)
+
+
+class ColumnSelection:
+    """The rows at a selection of a :class:`ColumnStore`, with what the
+    kernels read of a store.  A column is taken at the selection the
+    first time it is read, so a predicate over an index range tests
+    only the range's rows of the columns it names."""
+
+    __slots__ = ("schema", "columns", "_size")
+
+    def __init__(self, store: ColumnStore, selection: Sequence[int]):
+        self.schema = store.schema
+        self.columns = _Taken(store.columns, selection)
+        self._size = len(selection)
+
+    def __len__(self) -> int:
+        return self._size
+
+    values = ColumnStore.values
+
+
+class _Taken(dict):
+    """Column position -> that column taken at a selection, on use."""
+
+    def __init__(self, columns, selection: Sequence[int]):
+        super().__init__()
+        self.source = columns, selection
+
+    def __missing__(self, position: int):
+        columns, selection = self.source
+        column = self[position] = columns[position].take(selection)
+        return column
 
 
 def _build_column(datatype: DataType,
@@ -238,6 +279,7 @@ def _build_column(datatype: DataType,
 
 
 __all__ = [
+    "ColumnSelection",
     "ColumnStore",
     "DICT_MAX_CARDINALITY",
     "DictionaryColumn",

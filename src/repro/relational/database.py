@@ -24,8 +24,8 @@ class Database:
     def __init__(self, name: str = "db"):
         self.name = name
         self.catalog = Catalog()
-        #: version-checked secondary-index cache shared by the query
-        #: planner and the executor's equality fast path.
+        #: version-checked cache of the sorted indexes the query
+        #: planner's index scans probe.
         self.indexes = IndexCache()
         #: the attached durable StorageEngine, if any (set by the engine
         #: itself on attach; None means purely in-memory operation).

@@ -4,9 +4,11 @@ Where :mod:`repro.relational.compiled` collapses a predicate tree into a
 per-row closure, this module collapses it into a *mask*: one boolean per
 row, computed column-at-a-time (a numpy boolean array on the fast path,
 a plain list from a single comprehension otherwise).  Masks AND/OR/NOT
-together positionally and the final mask becomes a selection vector --
-the ascending row indices that survive -- which callers use to gather
-surviving rows from the store's aligned snapshot.
+together positionally and the final mask becomes a selection -- the
+ascending row positions that survive -- which callers use to gather
+surviving rows from the store's aligned snapshot.  A kernel runs the
+same over a :class:`~repro.relational.columnar.ColumnSelection` (say,
+the rows of an index range); its masks then align with the selection.
 
 Exact-semantics gating
 ----------------------
@@ -34,6 +36,7 @@ dedicated always-false slot.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Iterable, Sequence
 
 from repro.errors import ExpressionError, TypeMismatchError
@@ -81,25 +84,69 @@ def combine_and(left, right):
     return [a and b for a, b in zip(left, right)]
 
 
-def count(mask, n: int) -> int:
-    """Surviving rows under *mask* (``None`` = all *n* survive)."""
+def to_selection(mask, within: list[int] | None = None):
+    """*mask* as a selection: the list of ascending row positions it
+    keeps (of *within*'s positions when given, the mask then aligned
+    with them).  A ``None`` mask keeps all: *within* passes through."""
     if mask is None:
-        return n
+        return within
     np = columnar.numpy_module()
     if np is not None and isinstance(mask, np.ndarray):
-        return int(np.count_nonzero(mask))
-    return sum(mask)
+        if within is None:
+            return np.flatnonzero(mask).tolist()
+        mask = mask.tolist()
+    return list(compress(range(len(mask)) if within is None else within,
+                         mask))
 
 
-def to_selection(mask):
-    """*mask* as a selection vector: ascending surviving row indices
-    (``None`` passes through, meaning every row)."""
-    if mask is None:
-        return None
-    np = columnar.numpy_module()
-    if np is not None and isinstance(mask, np.ndarray):
-        return np.nonzero(mask)[0]
-    return [i for i, survives in enumerate(mask) if survives]
+class Selection:
+    """The rows of a store that an access path chose: every row, the
+    rows a mask over the whole store keeps (a scan and its filter), or
+    ascending positions (an index range).  Positions are listed only
+    when a caller gathers.  :meth:`restrict` runs a further kernel over
+    the whole store and ANDs masks in the first two cases -- vector
+    operations over cached columns -- and over only the selected rows
+    for positions, so an index range never pays a pass over the table.
+    """
+
+    __slots__ = ("store", "mask", "_positions")
+
+    def __init__(self, store: ColumnStore, mask=None,
+                 positions: list[int] | None = None):
+        self.store, self.mask, self._positions = store, mask, positions
+
+    def positions(self) -> list[int] | None:
+        """The ascending positions (``None`` = every row)."""
+        if self._positions is None and self.mask is not None:
+            self._positions = to_selection(self.mask)
+        return self._positions
+
+    def __len__(self) -> int:
+        if self._positions is not None:
+            return len(self._positions)
+        if self.mask is None:
+            return len(self.store)
+        np = columnar.numpy_module()
+        if np is not None and isinstance(self.mask, np.ndarray):
+            return int(np.count_nonzero(self.mask))
+        return sum(self.mask)
+
+    def restrict(self, kernel, *args) -> "Selection":
+        """The selected rows that ``kernel(store, *args)`` keeps."""
+        if self.mask is None and self._positions is not None:
+            part = kernel(self.store.take(self._positions), *args)
+            return Selection(self.store,
+                             positions=to_selection(part, self._positions))
+        return Selection(self.store,
+                         mask=combine_and(self.mask,
+                                          kernel(self.store, *args)))
+
+    def pick(self, array):
+        """The entries of a numpy *array* aligned with the store's rows
+        at the selected rows."""
+        if self.mask is not None:
+            return array[self.mask]
+        return array if self._positions is None else array[self._positions]
 
 
 def membership_mask(store: ColumnStore, position: int, keys):
@@ -117,7 +164,7 @@ def membership_mask(store: ColumnStore, position: int, keys):
         wanted = {code for code in codes if code is not None}
         if np is not None:
             if not wanted:
-                return np.zeros(len(store.rows), dtype=bool)
+                return np.zeros(len(store), dtype=bool)
             return np.isin(column.np_codes(),
                            np.fromiter(wanted, dtype=np.int32,
                                        count=len(wanted)))
@@ -175,7 +222,7 @@ def _mask(expression: Expression, store: ColumnStore, accepted: set):
 
 
 def _mask_node(expression: Expression, store: ColumnStore, accepted: set):
-    n = len(store.rows)
+    n = len(store)
     if isinstance(expression, Literal):
         return _const_mask(n, bool(expression.value))
     if isinstance(expression, Comparison):
@@ -238,7 +285,7 @@ def _comparison_mask(expression: Comparison, store: ColumnStore,
 
 def _column_literal_mask(store: ColumnStore, position: int, op: str,
                          literal: Any):
-    n = len(store.rows)
+    n = len(store)
     if literal is None:
         return _const_mask(n, False)  # NULL compares false to everything
     datatype = store.schema.columns[position].datatype
@@ -308,7 +355,7 @@ def _is_null_mask(expression: IsNull, store: ColumnStore, accepted: set):
         return [code < 0 for code in column.codes]
     if np is not None and isinstance(column, PlainColumn):
         if column.array() is not None:  # a built array proves no NULLs
-            return _const_mask(len(store.rows), expression.negated)
+            return _const_mask(len(store), expression.negated)
     if expression.negated:
         return [value is not None for value in column.values]
     return [value is None for value in column.values]
@@ -336,9 +383,9 @@ def _np_compare(np, op: str, left, right):
 
 
 __all__ = [
+    "Selection",
     "UnsupportedKernel",
     "combine_and",
-    "count",
     "membership_mask",
     "notnull_mask",
     "predicate_mask",

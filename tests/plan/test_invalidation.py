@@ -39,12 +39,12 @@ def test_index_scan_sees_rows_inserted_after_planning(observed):
     database = ship_database()
     statement = parse_select(SQL)
 
-    # Warm the cache: first execution builds the hash index (miss) ...
+    # Warm the cache: first execution builds the sorted index (miss) ...
     warm = plan_select(database, statement)
     assert "IndexScan" in warm.render()
     before = warm.execute()
     assert observed.value("index_cache_requests_total",
-                          result="miss", kind="hash") == 1
+                          result="miss") == 1
 
     # ... plan again, mutate BETWEEN planning and execution ...
     planned = plan_select(database, statement)
@@ -56,7 +56,7 @@ def test_index_scan_sees_rows_inserted_after_planning(observed):
     assert any(row[0] == "SSN999" for row in result)
     assert result == execute_select_reference(database, statement)
     assert observed.value("index_cache_requests_total",
-                          result="stale", kind="hash") == 1
+                          result="stale") == 1
 
 
 def test_stream_started_before_mutation_serves_its_snapshot(observed):
@@ -75,12 +75,12 @@ def test_stream_started_before_mutation_serves_its_snapshot(observed):
 
     assert all(group[0][0] != "SSN999" for group in rows)
     assert observed.value("index_cache_requests_total",
-                          result="miss", kind="hash") == 1
+                          result="miss") == 1
 
     result = plan_select(database, parse_select(SQL)).execute(batch_size=2)
     assert any(row[0] == "SSN999" for row in result)
     assert observed.value("index_cache_requests_total",
-                          result="stale", kind="hash") == 1
+                          result="stale") == 1
 
 
 def test_mutation_between_planning_and_streaming(observed):
@@ -99,7 +99,7 @@ def test_mutation_between_planning_and_streaming(observed):
     assert any(row[0] == "SSN999" for row in result)
     assert result == execute_select_reference(database, statement)
     assert observed.value("index_cache_requests_total",
-                          result="stale", kind="hash") == 1
+                          result="stale") == 1
 
 
 def test_statistics_snapshot_invalidated_by_mutation(observed):
@@ -175,5 +175,37 @@ def test_recovery_replay_invalidates_caches_like_live_mutations(
     assert len(result) == len(before) + 1
     assert any(row[0] == "SSN999" for row in result)
     assert observed.value("index_cache_requests_total",
-                          result="stale", kind="hash") >= 1
+                          result="stale") >= 1
     standby.wal.close()
+
+
+RANGE_SQL = "SELECT * FROM CLASS WHERE CLASS.Displacement > 8000"
+
+
+@pytest.mark.parametrize("dml", [
+    "DELETE FROM CLASS WHERE Class = '0101'",
+    # Moves Ohio and Typhoon out of the range, the two 7250-ton classes
+    # into it.
+    "UPDATE CLASS SET Displacement = 24000 - Displacement "
+    "WHERE Type = 'SSBN'",
+], ids=["delete", "update"])
+def test_index_range_sees_delete_and_update_after_planning(observed, dml):
+    """Unlike an insert, a DELETE or UPDATE drops the column store
+    instead of appending to it.  An index range planned before either
+    resolves its positions against the rebuilt store and index."""
+    database = ship_database()
+    statement = parse_select(RANGE_SQL)
+    before = plan_select(database, statement).execute()  # store, index
+
+    planned = plan_select(database, statement)
+    assert "IndexScan" in planned.render()
+    execute_statement(database, dml)
+    result = planned.execute()
+    streamed = [rows[0] for batch in planned.root.child.batches(1)
+                for rows in batch]
+
+    reference = execute_select_reference(database, statement)
+    assert list(result.rows) == list(reference.rows) != list(before.rows)
+    assert streamed == list(reference.rows)
+    assert observed.value("index_cache_requests_total",
+                          result="stale") == 1

@@ -64,6 +64,9 @@ def run_query(db, sql, *, batch_size=None):
 
 SCAN_SQL = "SELECT BIG.Id, BIG.V FROM BIG WHERE BIG.V != 500"
 
+#: A range on BIG.V selective enough for the planner to take the index.
+INDEX_RANGE = "BIG.V >= 100 AND BIG.V <= 300"
+
 #: Named so parametrized test ids stay short.
 QUERIES = {
     "scan": SCAN_SQL,
@@ -84,6 +87,17 @@ QUERIES = {
     "group_by_late": "SELECT BIG.Cat, COUNT(*) FROM BIG WHERE BIG.Id > 2 "
                      "GROUP BY BIG.Cat",
     "join": "SELECT BIG.Id, DIM.Name FROM BIG, DIM WHERE BIG.K = DIM.K",
+    # Index chains.  BIG.V's value order is not its table order, so an
+    # index range that returned value order would show here.
+    "index_point": "SELECT BIG.Id, BIG.Cat FROM BIG WHERE BIG.V = 17",
+    "index_range": f"SELECT BIG.Id, BIG.V FROM BIG WHERE {INDEX_RANGE}",
+    "index_filter": f"SELECT BIG.Id, BIG.Mark FROM BIG WHERE {INDEX_RANGE} "
+                    f"AND BIG.Cat != 'beta'",
+    "index_count": f"SELECT COUNT(BIG.Nul) FROM BIG WHERE {INDEX_RANGE} "
+                   f"AND BIG.Cat != 'beta'",
+    "index_group_by": f"SELECT BIG.Mark, COUNT(*) FROM BIG "
+                      f"WHERE {INDEX_RANGE} AND BIG.Cat != 'beta' "
+                      f"GROUP BY BIG.Mark",
 }
 
 
@@ -134,6 +148,85 @@ class TestEquivalence:
             planned = plan_select(big_db, statement).execute()
             assert planned == execute_select_reference(big_db, statement), \
                 sql
+
+
+def shape(plan) -> str:
+    """``Filter(IndexScan)``-style rendering of a plan tree's nodes."""
+    name = type(plan).__name__.removesuffix("Plan")
+    children = plan.children()
+    if not children:
+        return name
+    return f"{name}({','.join(shape(child) for child in children)})"
+
+
+#: One single-table SELECT per access path, with the plan it takes.
+ACCESS_PATHS = {
+    "index_point": ("SELECT * FROM BIG WHERE BIG.V = 17", "IndexScan"),
+    "index_range": (f"SELECT * FROM BIG WHERE {INDEX_RANGE}", "IndexScan"),
+    "filter_index": (f"SELECT * FROM BIG WHERE {INDEX_RANGE} "
+                     f"AND BIG.Cat != 'beta'", "Filter(IndexScan)"),
+    "filter_scan": ("SELECT * FROM BIG WHERE BIG.V != 500",
+                    "Filter(TableScan)"),
+    "table_scan": ("SELECT * FROM BIG", "TableScan"),
+}
+
+
+@pytest.mark.parametrize("use_numpy", [True, False],
+                         ids=["numpy", "pure"])
+@pytest.mark.parametrize("batch_size", [1, 7, None],
+                         ids=["batch1", "batch7", "default"])
+@pytest.mark.parametrize("path", ACCESS_PATHS)
+def test_access_paths_keep_table_order(big_db, path, batch_size,
+                                       use_numpy):
+    """Without ORDER BY, every single-table access path returns the
+    reference's exact row sequence (table order), through the column
+    gather and through the streamed batches alike."""
+    sql, expected_shape = ACCESS_PATHS[path]
+    statement = parse_select(sql)
+    reference = list(execute_select_reference(big_db, statement).rows)
+    columnar.set_numpy_enabled(use_numpy)
+    try:
+        planned = plan_select(big_db, statement)
+        assert shape(planned.root.child) == expected_shape
+        gathered = planned.execute(batch_size=batch_size)
+        streamed = [rows[0] for batch in
+                    planned.root.child.batches(batch_size)
+                    for rows in batch]
+    finally:
+        columnar.set_numpy_enabled(True)
+    assert list(gathered.rows) == reference
+    assert streamed == reference
+
+
+#: ``(sql, plan)`` of the two index-chain join shapes.
+INDEX_JOINS = [
+    ("SELECT BIG.Id, DIM.Name FROM BIG, DIM WHERE BIG.K = DIM.K "
+     "AND BIG.V >= 17 AND BIG.V <= 18 AND BIG.Cat != 'beta' "
+     "AND DIM.Name != 'dim-3'",
+     "HashJoin(Filter(IndexScan),Filter(TableScan))"),
+    (f"SELECT BIG.Id, DIM.Name FROM BIG, DIM WHERE BIG.K = DIM.K "
+     f"AND {INDEX_RANGE}",
+     "HashJoin(TableScan,IndexScan)"),
+]
+
+
+@pytest.mark.parametrize("use_numpy", [True, False],
+                         ids=["numpy", "pure"])
+@pytest.mark.parametrize("sql,expected_shape", INDEX_JOINS,
+                         ids=[plan for _sql, plan in INDEX_JOINS])
+def test_index_chain_joins_match_reference(big_db, sql, expected_shape,
+                                           use_numpy):
+    statement = parse_select(sql)
+    columnar.set_numpy_enabled(use_numpy)
+    try:
+        planned = plan_select(big_db, statement)
+        assert shape(planned.root.child) == expected_shape
+        result = planned.execute()
+    finally:
+        columnar.set_numpy_enabled(True)
+    reference = execute_select_reference(big_db, statement)
+    assert len(reference) > 0
+    assert result == reference
 
 
 class TestStreamingSemantics:
@@ -189,6 +282,28 @@ class TestStreamingSemantics:
         filtered = next(line for line in rendered.splitlines()
                         if line.lstrip().startswith("Filter"))
         assert f"actual {passing}, time " in filtered, rendered
+
+
+    @queries("index_range", "index_filter", "index_count",
+             "index_group_by")
+    def test_explain_analyze_index_chain_actuals(self, big_db, sql):
+        """On the gather path the IndexScan reports the rows in its
+        range and a Filter over it the rows passing the rest of the
+        WHERE, each with a time."""
+        def count(where):
+            return execute_select_reference(big_db, parse_select(
+                f"SELECT COUNT(*) FROM BIG WHERE {where}")).rows[0][0]
+
+        where = sql.split(" WHERE ", 1)[1].split(" GROUP BY ")[0]
+        rendered = explain_select(big_db, parse_select(sql),
+                                  analyze=True)
+        lines = [line.lstrip() for line in rendered.splitlines()]
+        scan = next(line for line in lines
+                    if line.startswith("IndexScan BIG"))
+        assert f"actual {count(INDEX_RANGE)}, time " in scan, rendered
+        filtered = [line for line in lines if line.startswith("Filter")]
+        if where != INDEX_RANGE:
+            assert f"actual {count(where)}, time " in filtered[0], rendered
 
 
 class TestStatementDeadline:

@@ -26,11 +26,11 @@ def plan_sql(database, sql, rules=None):
 
 
 class TestAccessPaths:
-    def test_equality_picks_hash_index(self, ship_db):
+    def test_equality_picks_point_range(self, ship_db):
         planned = plan_sql(ship_db,
                            "SELECT * FROM SUBMARINE WHERE Class = '0103'")
         (scan,) = find(planned.plan, IndexScanPlan)
-        assert scan.kind == "hash"
+        assert scan.interval.is_point()
         assert scan.column == "Class"
         assert not find(planned.plan, FilterPlan)
 
@@ -38,7 +38,8 @@ class TestAccessPaths:
         planned = plan_sql(
             ship_db, "SELECT * FROM CLASS WHERE Displacement > 8000")
         (scan,) = find(planned.plan, IndexScanPlan)
-        assert scan.kind == "sorted"
+        assert not scan.interval.is_point()
+        assert scan.column == "Displacement"
 
     def test_tiny_relation_scans(self, ship_db):
         planned = plan_sql(ship_db,

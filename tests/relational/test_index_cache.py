@@ -1,4 +1,4 @@
-"""IndexCache: version-checked reuse of hash and sorted indexes."""
+"""IndexCache: version-checked reuse of sorted indexes."""
 
 from repro.relational.database import Database
 from repro.relational.datatypes import INTEGER, char
@@ -17,42 +17,42 @@ class TestIndexCache:
     def test_reuse_while_unchanged(self):
         cache = IndexCache()
         relation = make_relation()
-        first = cache.hash_index(relation, "K")
-        assert cache.hash_index(relation, "K") is first
+        first = cache.sorted_index(relation, "K")
+        assert cache.sorted_index(relation, "K") is first
         assert cache.rebuilds == 1
 
     def test_mutation_rebuilds(self):
         cache = IndexCache()
         relation = make_relation()
-        index = cache.hash_index(relation, "K")
-        assert len(index.lookup("c")) == 0
+        index = cache.sorted_index(relation, "K")
+        assert index.range("c", "c") == []
         relation.insert(("c", 4))
-        rebuilt = cache.hash_index(relation, "K")
+        rebuilt = cache.sorted_index(relation, "K")
         assert rebuilt is not index
-        assert len(rebuilt.lookup("c")) == 1
+        assert rebuilt.range("c", "c") == [3]
         assert cache.rebuilds == 2
 
-    def test_hash_and_sorted_cached_separately(self):
+    def test_columns_cached_separately(self):
         cache = IndexCache()
         relation = make_relation()
-        cache.hash_index(relation, "V")
+        cache.sorted_index(relation, "K")
         cache.sorted_index(relation, "V")
         assert cache.rebuilds == 2
-        cache.hash_index(relation, "V")
+        cache.sorted_index(relation, "K")
         cache.sorted_index(relation, "V")
         assert cache.rebuilds == 2
 
     def test_replaced_relation_rebuilds(self):
         cache = IndexCache()
-        cache.hash_index(make_relation(), "K")
+        cache.sorted_index(make_relation(), "K")
         other = make_relation()  # same name, different object
-        cache.hash_index(other, "K")
+        cache.sorted_index(other, "K")
         assert cache.rebuilds == 2
 
     def test_staleness_flag(self):
         relation = make_relation()
         cache = IndexCache()
-        index = cache.hash_index(relation, "K")
+        index = cache.sorted_index(relation, "K")
         assert not index.is_stale
         relation.insert(("z", 9))
         assert index.is_stale
@@ -64,7 +64,7 @@ class TestIndexCache:
     def test_invalidate_clears(self):
         cache = IndexCache()
         relation = make_relation()
-        cache.hash_index(relation, "K")
+        cache.sorted_index(relation, "K")
         assert len(cache) == 1
         cache.invalidate()
         assert len(cache) == 0
