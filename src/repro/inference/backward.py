@@ -36,7 +36,8 @@ def backward_match(facts: FactBase, rules: RuleSet,
 
     Only rules concluding on an attribute with a fact can match: the
     rule set's consequence index yields them, per fact, through the
-    fact's class of equivalent attributes.  *exclude* holds ``id()``s of
+    fact's class of equivalent attributes -- of the point conclusions,
+    only the sorted range inside the fact.  *exclude* holds ``id()``s of
     rules to skip -- the engine passes the rules that already fired
     forward, whose backward reading restates them.  *stats* adds the
     number of rules checked to its ``examined`` entry.
@@ -46,7 +47,7 @@ def backward_match(facts: FactBase, rules: RuleSet,
         via_derived = any(source != "query" for source in sources)
         for member in facts.members(ref.key):
             candidates.extend((position, fact, via_derived) for position
-                              in rules.conclusion_positions(member))
+                              in rules.conclusion_positions(member, fact))
     out: list[PartialDescription] = []
     examined = 0
     for position, fact, via_derived in sorted(candidates):

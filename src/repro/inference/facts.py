@@ -107,21 +107,26 @@ class FactBase:
     def domain_for(self, ref: AttributeRef) -> Interval | None:
         return self._domains.get(self.key_of(ref))
 
+    def effective(self, key: tuple[str, str]) -> Interval | None:
+        """The fact on the canonical *key*, which must carry one,
+        narrowed to its declared domain: the interval :meth:`implies`
+        tests; ``None`` when the fact excludes every legal value."""
+        if key not in self._effective:
+            interval = self._facts[key][1].interval
+            domain = self._domains.get(key)
+            self._effective[key] = (interval if domain is None
+                                    else interval.intersect(domain))
+        return self._effective[key]
+
     def implies(self, clause: Clause) -> bool:
         """Whether the fact on *clause*'s attribute, narrowed to its
         declared domain, lies inside the clause interval (Displacement >
         8000 within [2000..30000] does inside [7250..30000]); a fact
         excluding every legal value implies anything."""
         key = self.key_of(clause.attribute)
-        if key not in self._effective:
-            entry = self._facts.get(key)
-            if entry is None:
-                return False
-            domain = self._domains.get(key)
-            self._effective[key] = (
-                entry[1].interval if domain is None
-                else entry[1].interval.intersect(domain))
-        effective = self._effective[key]
+        if key not in self._facts:
+            return False
+        effective = self.effective(key)
         return effective is None or clause.interval.contains(effective)
 
     # -- facts ---------------------------------------------------------------

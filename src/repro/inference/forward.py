@@ -52,6 +52,8 @@ def forward_chain(facts: FactBase, rules: RuleSet,
     index yields for attributes (or their foreign-key and join-equivalent
     spellings) whose fact appeared or narrowed since the rule was last
     checked: narrowing only ever enables rules, so no other can fire.
+    Of each scheme's sorted runs the index yields the one that can
+    contain the fact.
 
     Passing *fired* lets the engine interleave chaining with bound
     propagation without re-firing rules across rounds; *stats* adds the
@@ -93,6 +95,8 @@ def forward_chain(facts: FactBase, rules: RuleSet,
 def _premise_positions(facts: FactBase, rules: RuleSet,
                        keys: list[tuple[str, str]]) -> set[int]:
     """Positions of the rules with a premise on any attribute in the
-    classes of the canonical *keys*."""
+    classes of the canonical *keys* that the class's fact, narrowed to
+    its domain, may imply."""
     return {position for key in keys for member in facts.members(key)
-            for position in rules.premise_positions(member)}
+            for position in rules.premise_positions(member,
+                                                    facts.effective(key))}

@@ -81,7 +81,8 @@ def analyze(relation_name: str, intervals: dict[str, Interval],
     Only columns the query already constrains are tightened; attributes
     the rules mention but the query does not are left free, so the
     rewrite never invents restrictions the projection could observe.
-    Only rules with a premise on a constrained column can apply; a
+    Only rules with a premise on a constrained column can apply (of a
+    scheme's sorted runs, the one that can contain the constraint); a
     tightened column puts the rules reading it back on the agenda.
     """
     current = dict(intervals)
@@ -93,8 +94,9 @@ def analyze(relation_name: str, intervals: dict[str, Interval],
     with obs.span("plan.semantic", relation=relation_name,
                   constraints=len(current)) as span:
         agenda = RuleAgenda(rules, {
-            position for column in current
-            for position in rules.premise_positions((key, column))})
+            position for column, constraint in current.items()
+            for position in rules.premise_positions((key, column),
+                                                    constraint)})
         examined = 0
         for _pass in range(MAX_PASSES):
             if not agenda.next_round():
@@ -134,6 +136,7 @@ def analyze(relation_name: str, intervals: dict[str, Interval],
                     obs.counter("semantic_rewrites_total",
                                 "rule-driven planner rewrites by kind",
                                 kind="tighten").inc()
-                    agenda.schedule(rules.premise_positions((key, column)))
+                    agenda.schedule(rules.premise_positions(
+                        (key, column), tightened))
         span.set(notes=len(notes), examined=examined)
     return SemanticResult(current, None, notes)

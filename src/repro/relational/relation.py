@@ -28,8 +28,10 @@ class Relation:
         Iterable of row tuples/sequences; each row is validated and
         coerced against the schema.
     validated:
-        Internal fast path: when True, rows are trusted as-is (used by
-        the algebra operators, which only emit well-typed rows).
+        Internal fast path: when True, the rows are well-typed tuples
+        and are kept as-is, in a list of the relation's own (used by
+        the algebra operators and the executors, which only emit such
+        rows).
     """
 
     def __init__(self, schema: RelationSchema,
@@ -37,7 +39,7 @@ class Relation:
                  validated: bool = False):
         self.schema = schema
         if validated:
-            self._rows: list[tuple] = [tuple(row) for row in rows]
+            self._rows: list[tuple] = list(rows)
         else:
             self._rows = [schema.check_row(row) for row in rows]
         self._version = 0

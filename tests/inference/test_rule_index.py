@@ -360,7 +360,7 @@ class TestNamedCases:
             rule([(A, Interval.closed(0, 10)), (A, Interval.closed(5, 20))],
                  (B, Interval.point(1))),
             rule([(B, Interval.point(1))], (A, Interval.closed(6, 9)))])
-        assert rules.rules_with_premise_on(A) == [rules[1]]
+        assert rules.premise_positions(A.key, None) == [0]
         for condition in (Interval.closed(6, 8), Interval.closed(2, 8)):
             indexed, reference = chained(facts_with((A, condition)), rules)
             assert indexed == reference
@@ -423,6 +423,136 @@ class TestSemanticPassCases:
         result = semantic.analyze("T", constraints, rules)
         assert semantic_view(result) == expected
         assert "(R1)" in result.contradiction
+
+
+def runs_on_a(*premises):
+    """One rule per premise interval on A, concluding B = its index."""
+    return RuleSet([rule([(A, premise)], (B, Interval.point(index)))
+                    for index, premise in enumerate(premises)])
+
+
+class TestSortedRunCases:
+    def test_open_condition_fires_the_run(self):
+        rules = runs_on_a(Interval.closed(0, 2), Interval.closed(3, 6),
+                          Interval.closed(7, 9))
+        for condition in (Interval(3, 6, low_open=True),
+                          Interval(3, 6, high_open=True),
+                          Interval.closed(3, 6), Interval.point(6)):
+            assert rules.premise_positions(A.key, condition) == [1]
+            build = facts_with((A, condition))
+            indexed, reference = chained(build, rules)
+            assert indexed == reference
+            assert numbers(forward_chain(build(), rules)) == [2]
+        # spanning two runs, or unbounded: no run contains the fact
+        for condition in (Interval.closed(2, 3), Interval.at_least(7),
+                          Interval.at_most(2)):
+            assert numbers(forward_chain(
+                facts_with((A, condition))(), rules)) == []
+
+    def test_scheme_with_one_overlapping_pair_falls_back(self):
+        rules = runs_on_a(Interval.closed(0, 3), Interval.closed(4, 6),
+                          Interval.closed(6, 9))
+        assert rules.premise_positions(A.key, Interval.point(1)) == [0, 1, 2]
+        rules.add(rule([(A, Interval.closed(10, 12))],
+                       (B, Interval.point(3))))
+        assert rules.premise_positions(A.key, Interval.point(1)) == [
+            0, 1, 2, 3]
+        for value in (1, 5, 6, 11):
+            indexed, reference = chained(
+                facts_with((A, Interval.point(value))), rules)
+            assert indexed == reference
+        assert chained(facts_with((A, Interval.point(6))), rules)[0][0] == (
+            "error")  # B = 1 and B = 2: a derived contradiction
+
+    @pytest.mark.parametrize("premises", [
+        [Interval.closed(0.5, 1.5), Interval.closed(2.5, float("nan")),
+         Interval.closed(4.0, 5.0)],
+        [Interval.closed(float("nan"), 1.0)],
+        [Interval.closed(0, 3), Interval.closed("a", "c"),
+         Interval.closed(5, 9)]], ids=["nan_high", "nan_low", "int_and_str"])
+    def test_unordered_bounds_fall_back(self, premises):
+        rules = runs_on_a(*premises)
+        assert rules.premise_positions(A.key, Interval.point(1.0)) == list(
+            range(len(premises)))
+        for condition in (Interval.point(1.0), Interval.point(4.5),
+                          Interval.point("b")):
+            indexed, reference = chained(facts_with((A, condition)), rules)
+            assert indexed == reference
+            engine = TypeInferenceEngine(rules)
+            assert_same_inference(engine, [Clause(A, condition)])
+            assert_same_semantic_pass(rules, {"a": condition})
+
+    @pytest.mark.parametrize("premises", [
+        [Interval.closed(0.5, 1.5), Interval.closed(2.5, 3.5)],
+        [Interval.closed(0.5, 1.5), Interval.closed(2.5, float("nan"))]],
+        ids=["runs", "nan_bound"])
+    def test_nan_condition_reads_every_run(self, premises):
+        # A NaN compares false both ways, so every closed premise
+        # "contains" it: the lookup yields every run, as the scan does.
+        # (NaN != NaN, so the outcomes are compared by their repr.)
+        rules = runs_on_a(*premises)
+        nan = Interval.point(float("nan"))
+        assert rules.premise_positions(A.key, nan) == [0, 1]
+        indexed, reference = chained(facts_with((A, nan)), rules)
+        assert repr(indexed) == repr(reference)
+        assert indexed[0] == "error"  # B = 0 and B = 1
+        assert repr(outcome(lambda: semantic.analyze("T", {"a": nan}, rules),
+                            semantic_view)) == repr(outcome(
+            lambda: reference_analyze("T", {"a": nan}, rules),
+            semantic_view))
+
+    @pytest.mark.parametrize("fact", [
+        Interval.at_least(float("nan"), strict=True),
+        Interval.at_most(float("nan"), strict=True),
+        Interval.at_least(float("nan")), Interval.at_most(float("nan")),
+        Interval.point(float("nan"))],
+        ids=["above_nan", "below_nan", "at_least_nan", "at_most_nan",
+             "nan_point"])
+    def test_nan_bound_reads_every_point(self, fact):
+        # Every value compares false with a NaN bound, so a fact bounded
+        # only by NaNs "contains" every point: backward matching reads
+        # them all, as the scan does.
+        rules = runs_on_a(Interval.closed(0, 1), Interval.closed(3, 4))
+        assert rules.conclusion_positions(B.key, fact) == [0, 1]
+        facts = facts_with((B, fact))()
+        stats: dict = {}
+        matched = backward_match(facts, rules, stats=stats)
+        assert descriptions_view(matched) == descriptions_view(
+            reference_backward_match(facts, rules))
+        assert len(matched) == stats["examined"] == 2
+
+    def test_domain_excluding_the_fact_fires_every_rule(self):
+        rules = runs_on_a(Interval.closed(0, 3), Interval.closed(4, 6))
+        rules.add(rule([(A, Interval.closed(0, 9))], (C, Interval.point(1))))
+        domains = {A: Interval.closed(0, 9)}
+        build = facts_with((A, Interval.point(50)), domains=domains)
+        indexed, reference = chained(build, rules)
+        assert indexed == reference
+        assert indexed[0] == "error"  # B = 0 and B = 1
+        engine = TypeInferenceEngine(rules)
+        engine._domains = domains
+        assert assert_same_inference(
+            engine, [Clause(A, Interval.point(50))])[0]  # unsatisfiable
+
+    def test_backward_reads_the_points_inside_the_fact(self):
+        rules = runs_on_a(*(Interval.closed(3 * index, 3 * index + 1)
+                            for index in range(6)))
+        rules.add(rule([(C, Interval.point(1))], (B, Interval.closed(1, 2))))
+        assert rules.conclusion_positions(B.key, Interval.closed(1, 3)) == [
+            1, 2, 3, 6]
+        assert rules.conclusion_positions(
+            B.key, Interval(1, 3, low_open=True, high_open=True)) == [2, 6]
+        assert rules.conclusion_positions(
+            B.key, Interval.at_least(4, strict=True)) == [5, 6]
+        for condition in (Interval.closed(1, 3), Interval.at_most(2),
+                          Interval(1, 3, low_open=True)):
+            stats: dict = {}
+            facts = facts_with((B, condition))()
+            assert descriptions_view(backward_match(
+                facts, rules, stats=stats)) == descriptions_view(
+                    reference_backward_match(facts, rules))
+            assert stats["examined"] == len(rules.conclusion_positions(
+                B.key, condition))
 
 
 class TestExaminedSpanAttribute:
@@ -496,32 +626,58 @@ domains_strategy = st.dictionaries(st.sampled_from(ATTRIBUTES),
                                    intervals(closed=True), max_size=3)
 
 
+def assert_chaining_and_matching(ruleset, pairs, domains, conditions,
+                                 rounds):
+    """Forward chaining for *rounds*, and chaining to fixpoint followed
+    by backward matching, equal the full-scan reference's."""
+    build = facts_with(*((c.attribute, c.interval) for c in conditions),
+                       pairs=pairs, domains=domains)
+    try:
+        build()
+    except Exception:
+        return  # contradictory conditions: nothing to chain
+    indexed, reference = chained(build, ruleset, max_iterations=rounds)
+    assert indexed == reference
+    views = []
+    for chain, match in ((forward_chain, backward_match),
+                         (reference_forward_chain, reference_backward_match)):
+        facts = build()
+        fired: set[int] = set()
+        views.append(outcome(lambda: (
+            derivations_view(chain(facts, ruleset, fired=fired)),
+            descriptions_view(match(facts, ruleset, exclude=fired))),
+            lambda value: value))
+    assert views[0] == views[1]
+
+
+def assert_one_engine_across_inferences(ruleset, added, pairs, domains,
+                                        condition_sets):
+    """One engine's inferences equal the reference's, before and after
+    *added* rules join its rule set."""
+    engine = TypeInferenceEngine(ruleset, extra_equivalences=pairs)
+    engine._domains = domains
+    for conditions in condition_sets:
+        assert_same_inference(engine, conditions, pairs[:1])
+    ruleset.extend(added)
+    for conditions in condition_sets:
+        assert_same_inference(engine, conditions)
+
+
+def assert_same_semantic_pass(ruleset, constraints):
+    expected = outcome(lambda: reference_analyze("T", constraints, ruleset),
+                       semantic_view)
+    assert outcome(lambda: semantic.analyze("T", constraints, ruleset),
+                   semantic_view) == expected
+
+
 class TestGeneratedRuleSets:
     @settings(max_examples=150, deadline=None)
     @given(rules_strategy(), pairs_strategy, domains_strategy,
            conditions_strategy, st.integers(1, 4))
     def test_chaining_and_matching(self, rules, pairs, domains, conditions,
                                    rounds):
-        ruleset = RuleSet(rules)
-        build = facts_with(*((c.attribute, c.interval) for c in conditions),
-                           pairs=pairs, domains=domains)
-        try:
-            build()
-        except Exception:
-            return  # contradictory conditions: nothing to chain
-        indexed, reference = chained(build, ruleset, max_iterations=rounds)
-        assert indexed == reference
-        views = []
-        for chain, match in ((forward_chain, backward_match),
-                             (reference_forward_chain,
-                              reference_backward_match)):
-            facts = build()
-            fired: set[int] = set()
-            views.append(outcome(lambda: (
-                derivations_view(chain(facts, ruleset, fired=fired)),
-                descriptions_view(match(facts, ruleset, exclude=fired))),
-                lambda value: value))
-        assert views[0] == views[1]
+        assert_chaining_and_matching(RuleSet(rules), pairs, domains,
+                                     conditions, rounds)
 
     @settings(max_examples=60, deadline=None)
     @given(rules_strategy(), rules_strategy(), pairs_strategy,
@@ -529,25 +685,136 @@ class TestGeneratedRuleSets:
                                       max_size=3))
     def test_one_engine_across_inferences(self, rules, added, pairs,
                                           domains, condition_sets):
-        ruleset = RuleSet(rules)
-        engine = TypeInferenceEngine(ruleset, extra_equivalences=pairs)
-        engine._domains = domains
-        for conditions in condition_sets:
-            assert_same_inference(engine, conditions, pairs[:1])
-        ruleset.extend(added)
-        for conditions in condition_sets:
-            assert_same_inference(engine, conditions)
+        assert_one_engine_across_inferences(RuleSet(rules), added, pairs,
+                                            domains, condition_sets)
 
     @settings(max_examples=150, deadline=None)
     @given(rules_strategy(), st.dictionaries(
         st.sampled_from(["a", "b", "c"]), intervals(), min_size=1))
     def test_semantic_pass(self, rules, constraints):
+        assert_same_semantic_pass(RuleSet(rules), constraints)
+
+
+# ---------------------------------------------------------------------------
+# ILS-shaped rule sets: the sorted runs
+
+
+@st.composite
+def runs_strategy(draw):
+    """One scheme's premises as the ILS emits them: sorted, pairwise
+    disjoint closed runs with gaps of up to two values, or none
+    (adjacent bounds such as [0, 3], [4, 6])."""
+    out, low = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 6))):
+        high = low + draw(st.integers(0, 3))
+        out.append(Interval.closed(low, high))
+        low = high + 1 + draw(st.integers(0, 2))
+    return out
+
+
+@st.composite
+def ils_rules_strategy(draw):
+    """ILS-shaped schemes, often two on one X with interleaving runs,
+    mixed with rules that fall back: a premise overlapping a run of its
+    scheme, two premises, or an open or unbounded premise.  The rules
+    come in any order, so the runs are built by insertion."""
+    schemes = []
+    for _ in range(draw(st.integers(1, 3))):
+        premise = draw(st.sampled_from(ATTRIBUTES))
+        for conclusion in draw(st.lists(st.sampled_from(ATTRIBUTES),
+                                        min_size=1, max_size=2,
+                                        unique=True)):
+            schemes.append((premise, conclusion, draw(runs_strategy())))
+    rules = [Rule([Clause(premise, run)],
+                  Clause(conclusion, Interval.point(draw(st.integers(0, 4)))),
+                  support=draw(st.integers(0, 5)))
+             for premise, conclusion, runs in schemes for run in runs]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["overlap", "premises", "open"]))
+        if kind == "overlap":
+            premise, conclusion, runs = draw(st.sampled_from(schemes))
+            run = draw(st.sampled_from(runs))
+            clauses = [Clause(premise, Interval.closed(
+                run.high, run.high + draw(st.integers(0, 3))))]
+        else:
+            conclusion = draw(st.sampled_from(ATTRIBUTES))
+            clauses = [Clause(draw(st.sampled_from(ATTRIBUTES)),
+                              draw(intervals(closed=kind == "premises")))
+                       for _ in range(1 + (kind == "premises"))]
+        rules.append(Rule(clauses,
+                          Clause(conclusion, draw(intervals(closed=True))),
+                          support=draw(st.integers(0, 5))))
+    return draw(st.permutations(rules))
+
+
+def _bounds(rules):
+    return sorted({bound for rule in rules for clause in rule.lhs
+                   for bound in (clause.interval.low, clause.interval.high)
+                   if bound is not None})
+
+
+@st.composite
+def edge_intervals(draw, bounds, closed=False):
+    """An interval whose bounds sit on or next to premise bounds: at a
+    run's edge, open or closed, spanning runs, or unbounded on a side."""
+    low, high = sorted(draw(st.sampled_from(bounds)) + draw(
+        st.integers(-1, 1)) for _ in range(2))
+    kind = "closed" if closed else draw(st.sampled_from(
+        ["closed", "low_open", "high_open", "at_least", "at_most"]))
+    if kind == "at_least":
+        return Interval.at_least(low, strict=draw(st.booleans()))
+    if kind == "at_most":
+        return Interval.at_most(high, strict=draw(st.booleans()))
+    if low == high:
+        return Interval.point(low)
+    return Interval(low, high, low_open=kind == "low_open",
+                    high_open=kind == "high_open")
+
+
+@st.composite
+def ils_cases(draw):
+    """(rules, condition sets, domains): conditions at the rules' run
+    edges; a domain may exclude a condition, when every rule on its
+    attribute fires."""
+    rules = draw(ils_rules_strategy())
+    bounds = _bounds(rules)
+    condition_sets = draw(st.lists(st.lists(
+        st.builds(Clause, st.sampled_from(ATTRIBUTES),
+                  edge_intervals(bounds)),
+        min_size=1, max_size=3), min_size=1, max_size=3))
+    domains = draw(st.dictionaries(st.sampled_from(ATTRIBUTES),
+                                   edge_intervals(bounds, closed=True),
+                                   max_size=2))
+    return rules, condition_sets, domains
+
+
+class TestSortedRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(ils_cases(), pairs_strategy, st.integers(1, 4))
+    def test_chaining_and_matching(self, case, pairs, rounds):
+        rules, condition_sets, domains = case
         ruleset = RuleSet(rules)
-        expected = outcome(lambda: reference_analyze("T", constraints,
-                                                     ruleset),
-                           semantic_view)
-        assert outcome(lambda: semantic.analyze("T", constraints, ruleset),
-                       semantic_view) == expected
+        for conditions in condition_sets:
+            assert_chaining_and_matching(ruleset, pairs, domains,
+                                         conditions, rounds)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ils_cases(), ils_rules_strategy(), pairs_strategy)
+    def test_one_engine_across_inferences(self, case, added, pairs):
+        rules, condition_sets, domains = case
+        assert_one_engine_across_inferences(RuleSet(rules), added, pairs,
+                                            domains, condition_sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ils_cases())
+    def test_semantic_pass(self, case):
+        rules, condition_sets, _domains = case
+        ruleset = RuleSet(rules)
+        for conditions in condition_sets:
+            constraints = {clause.attribute.attribute: clause.interval
+                           for clause in conditions
+                           if clause.attribute.relation == "T"}
+            assert_same_semantic_pass(ruleset, constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,14 @@ class TestConstruction:
         relation = Relation(schema, [("abc", "7")])
         assert relation.rows == [("abc", 7)]
 
+    def test_validated_rows_kept_in_a_list_of_its_own(self, schema):
+        rows = [("x", 1), ("y", 2)]
+        relation = Relation(schema, rows, validated=True)
+        assert all(kept is given for kept, given in zip(relation.rows, rows))
+        rows.append(("z", 3))
+        assert relation.rows == [("x", 1), ("y", 2)]
+        assert Relation(schema, iter(rows), validated=True).rows == rows
+
     def test_from_dicts(self, schema):
         relation = Relation.from_dicts(
             schema, [{"a": "q", "n": 3}, {"A": "r"}])

@@ -79,17 +79,35 @@ class TestRuleSet:
             ruleset[3]
 
     def test_forward_index(self, ruleset):
-        hits = ruleset.rules_with_premise_on(
-            AttributeRef("CLASS", "Displacement"))
-        assert len(hits) == 1
+        key = ("class", "displacement")
+        assert ruleset.premise_positions(
+            key, Interval.closed(8000, 9000)) == [0]
+        assert ruleset.premise_positions(key, Interval.point(5000)) == []
+        assert ruleset.premise_positions(key, Interval.at_least(8000)) == []
+        assert ruleset.premise_positions(key, None) == [0]
+        assert ruleset.premise_positions(("class", "type"), None) == []
 
     def test_backward_index(self, ruleset):
-        hits = ruleset.rules_concluding_on(AttributeRef("CLASS", "Type"))
-        assert len(hits) == 2
+        key = ("class", "type")
+        assert ruleset.conclusion_positions(
+            key, Interval.point("SSBN")) == [0, 1]
+        assert ruleset.conclusion_positions(key, Interval.point("SSN")) == []
+        assert ruleset.conclusion_positions(
+            key, Interval.at_most("SSBN", strict=True)) == []
 
     def test_premise_attributes(self, ruleset):
-        names = {ref.render() for ref in ruleset.premise_attributes()}
-        assert names == {"CLASS.Displacement", "CLASS.Class"}
+        """A premise attribute counts as referenced whether its rules
+        sit in sorted runs or in the position list."""
+        assert not ruleset.references("SUBMARINE")
+        assert not ruleset.references("SONAR")
+        ruleset.add(Rule([Clause.between("SUBMARINE.Id", "SSN582",
+                                         "SSN601")],
+                         Clause.equals("CLASS.Type", "SSN")))
+        ruleset.add(Rule([Clause(AttributeRef("SONAR", "Sonar"),
+                                 Interval.at_least("BQQ"))],
+                         Clause.equals("CLASS.Type", "SSN")))
+        assert ruleset.references("SUBMARINE")
+        assert ruleset.references("SONAR")
 
     def test_schemes(self, ruleset):
         schemes = ruleset.schemes()
