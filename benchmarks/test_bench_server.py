@@ -3,7 +3,7 @@ latency, wire overhead, and zero lost updates under contention.
 
 Clients are separate *processes* (their socket/JSON work runs on their
 own GILs), the server is one thread-per-connection process, exactly
-the deployment shape.  Four claims:
+the deployment shape.  Five claims:
 
 * **Reads scale.**  Aggregate hot-read QPS with 4 clients must be
   >= 3x the single-client figure -- the wire memo makes the serve path
@@ -16,6 +16,10 @@ the deployment shape.  Four claims:
   theta-join queries (a fresh literal every request defeats every
   cache layer, and the joins do real per-pair predicate work) may pay
   at most 15% over executing the same statements in-process.
+* **Bulk replies travel cheaply.**  A never-cached ``SELECT *`` that
+  returns all 20,000 ENTITY rows may cost at most 8x executing it
+  in-process: here the wire pays for the payload (encode, send,
+  decode) rather than for execution.
 * **Tail latency is bounded.**  p50/p99 are recorded for N in
   {1, 4, 16} on the mixed workload (reported, not guarded -- CI
   machines vary too much for an absolute ms guard).
@@ -78,6 +82,12 @@ UNCACHED_TEMPLATE = (
     "SELECT DISTINCT GROUPS.Label, GROUPS.Weight FROM ENTITY, GROUPS "
     "WHERE ENTITY.Size > {threshold} AND ENTITY.Size < {upper} "
     "AND GROUPS.Weight > ENTITY.Size")
+
+#: The bulk-reply probe: ``Size`` is never negative, so each request
+#: returns every ENTITY row, and its fresh literal misses every cache.
+BULK_TEMPLATE = "SELECT * FROM ENTITY WHERE ENTITY.Size > {threshold}"
+BULK_RATIO_BUDGET = 8.0
+BULK_ROUNDS = 7
 
 _RESULTS: dict[str, dict] = {}
 
@@ -262,6 +272,38 @@ def test_single_client_wire_overhead(server, worker_script):
         f"24 uncached theta-joins)")
 
 
+def test_bulk_reply_wire_ratio(server):
+    """A reply of every ENTITY row costs <= 8x over the wire what the
+    same statement costs in-process (interleaved best of 7, a fresh
+    literal per request and side)."""
+    database = server.system.database
+    rows = len(database.relation("ENTITY"))
+    client = Client("127.0.0.1", server.port).connect()
+    try:
+        best_local = best_wire = float("inf")
+        for round_index in range(BULK_ROUNDS):
+            start = time.perf_counter()
+            local = execute_select(database, parse_select(
+                BULK_TEMPLATE.format(threshold=-2 * round_index - 1)))
+            best_local = min(best_local, time.perf_counter() - start)
+            start = time.perf_counter()
+            remote = client.sql(
+                BULK_TEMPLATE.format(threshold=-2 * round_index - 2))
+            best_wire = min(best_wire, time.perf_counter() - start)
+            assert len(local) == len(remote) == rows
+    finally:
+        client.close()
+    ratio = best_wire / best_local
+    _RESULTS["bulk reply"] = {
+        "rows": rows, "local_s": best_local, "wire_s": best_wire,
+        "ratio": ratio, "guard": f"<= {BULK_RATIO_BUDGET:g}x",
+        "guard_passed": ratio <= BULK_RATIO_BUDGET}
+    assert ratio <= BULK_RATIO_BUDGET, (
+        f"a {rows}-row reply costs {ratio:.1f}x over the wire "
+        f"({best_wire * 1000:.1f}ms vs {best_local * 1000:.1f}ms "
+        f"in-process)")
+
+
 def test_sixteen_clients_mixed_workload_no_lost_updates(
         server, worker_script):
     """16 clients, 10% autocommit DML: every insert lands exactly
@@ -298,6 +340,7 @@ def test_report(server):
                      f"{run['p50_ms']:.2f}", f"{run['p99_ms']:.2f}"])
     scaling = _RESULTS.get("read scaling", {})
     overhead = _RESULTS.get("wire overhead", {})
+    bulk = _RESULTS.get("bulk reply", {})
     guard_lines = []
     if scaling:
         guard_lines.append(
@@ -308,6 +351,11 @@ def test_report(server):
             f"single-client wire overhead: "
             f"{overhead['overhead'] * 100:+.1f}% "
             f"(guard {overhead['guard']})")
+    if bulk:
+        guard_lines.append(
+            f"{bulk['rows']}-row reply: wire {bulk['wire_s'] * 1000:.1f}ms "
+            f"vs in-process {bulk['local_s'] * 1000:.1f}ms, "
+            f"{bulk['ratio']:.1f}x (guard {bulk['guard']})")
     record_report(
         "E24",
         f"Multi-client server: QPS and tail latency over the "

@@ -133,10 +133,11 @@ class TypeInferenceEngine:
                             "queries proven unsatisfiable from their "
                             "conditions and the rules").inc()
                 span.set(outcome="unsatisfiable")
-                return InferenceResult(conditions, facts, [], [],
-                                       classification_attributes=(
-                                           self._classification),
-                                       unsatisfiable=True)
+                return InferenceResult(
+                    conditions,
+                    self._condition_facts(canonicalizer, conditions),
+                    [], [], classification_attributes=self._classification,
+                    unsatisfiable=True)
             if backward:
                 with obs.span("inference.backward") as backward_span:
                     stats: dict = {}
@@ -157,6 +158,20 @@ class TypeInferenceEngine:
                                    classification_attributes=(
                                        self._classification),
                                    propagations=propagations)
+
+    def _condition_facts(self, canonicalizer: Canonicalizer,
+                         conditions: Sequence[Clause]) -> FactBase:
+        """The conditions' own facts, up to the first that contradicts
+        an earlier one: what an unsatisfiable answer reports.  The facts
+        held when a derived contradiction surfaces depend on the order
+        the rules fired in; these do not."""
+        facts = FactBase(canonicalizer, self._domains)
+        for clause in conditions:
+            try:
+                facts.add_condition(clause)
+            except InferenceError:
+                break
+        return facts
 
     def _forward(self, facts: FactBase, fired: set[int]
                  ) -> tuple[list, list]:

@@ -16,10 +16,22 @@ Requests are objects with an ``op`` field::
 
 Responses carry ``ok``.  Success frames add a ``kind``
 (``relation`` / ``count`` / ``text`` / ``ask`` / ``ok``) plus the
-payload; relations travel in the same schema+rows encoding the WAL uses
-(:mod:`repro.storage.codec`), so dates and every other cell type
-round-trip by construction.  Failure frames map the server-side
-exception onto a structured error::
+payload.  A relation travels as its schema and one JSON array per
+column, built with one ``zip(*rows)`` and rebuilt with one
+``zip(*columns, strict=True)``::
+
+    {"schema": {"name": "result", "columns": [["Id", "integer"], ...],
+                "key": null},
+     "columns": [[1, 2, 3], ...]}
+
+The wire and the WAL now share only the cell encoding
+(:mod:`repro.storage.codec`, whose schema encoding both also use): a
+DATE cell is tagged ``{"d": "YYYY-MM-DD"}`` as in a WAL record, and
+DATE columns are the only ones that pay a per-value step.  Every other
+cell is sent as JSON carries it; NaN and the infinities use the tokens
+Python's ``json`` writes and reads back.  The WAL keeps one array per
+row.  Failure frames map the server-side exception onto a structured
+error::
 
     {"ok": false, "error": {"type": "LockTimeout", "message": ...,
                             "hint": ..., "aborted": true}}
@@ -159,19 +171,44 @@ def error_frame(error: BaseException, aborted: bool = False) -> dict:
     return {"ok": False, "error": payload}
 
 
-# -- relation payloads (delegate to the WAL codec) --------------------------
+# -- relation payloads (one JSON array per column) -------------------------
 
 
 def encode_relation_payload(relation) -> dict:
-    """Schema + rows, JSON-safe (dates tagged exactly as in the WAL)."""
+    """Schema + one JSON array per column; DATE cells are tagged as in
+    the WAL, every other cell travels as JSON carries it."""
+    from repro.relational.datatypes import DateType
     from repro.storage import codec
-    return codec.encode_relation(relation)
+    schema = relation.schema
+    values_by_column = (zip(*relation.rows) if relation.rows
+                        else [()] * len(schema.columns))
+    columns = [[codec.encode_value(value) for value in values]
+               if isinstance(column.datatype, DateType) else list(values)
+               for column, values in zip(schema.columns, values_by_column)]
+    return {"schema": codec.encode_schema(schema), "columns": columns}
 
 
 def decode_relation_payload(payload: dict):
+    """The relation *payload* encodes; :class:`ProtocolError` unless it
+    holds one list per schema column, all of one length."""
+    from repro.relational.datatypes import DateType
+    from repro.relational.relation import Relation
     from repro.storage import codec
     try:
-        return codec.decode_relation(payload)
-    except ReproError as error:
+        schema = codec.decode_schema(payload["schema"])
+        columns = payload["columns"]
+        if not isinstance(columns, list) or not all(
+                isinstance(column, list) for column in columns):
+            raise ProtocolError("columns must be a list of lists")
+        if len(columns) != len(schema.columns):
+            raise ProtocolError(
+                f"{len(columns)} columns for a schema of "
+                f"{len(schema.columns)}")
+        columns = [[codec.decode_value(value) for value in values]
+                   if isinstance(column.datatype, DateType) else values
+                   for column, values in zip(schema.columns, columns)]
+        return Relation(schema, zip(*columns, strict=True),
+                        validated=True)
+    except (ReproError, KeyError, TypeError, ValueError) as error:
         raise ProtocolError(
             f"bad relation payload from peer: {error}") from error

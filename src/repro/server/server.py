@@ -157,8 +157,8 @@ class Session:
             self.cleanup()
 
     def _try_send(self, message) -> bool:
-        """Send a response: a dict is framed, raw ``bytes`` (a wire-memo
-        hit, already framed) go out verbatim."""
+        """Send a response: a dict is framed, raw ``bytes`` (a frame
+        the wire memo stores) go out verbatim."""
         try:
             if isinstance(message, (bytes, bytearray)):
                 self.sock.sendall(message)
@@ -375,7 +375,7 @@ class Session:
                     "ok": True, "kind": "relation",
                     "relation": protocol.encode_relation_payload(result)}
                 if memo_key is not None:
-                    self.server._wire_memo_put(
+                    return self.server._wire_memo_put(
                         memo_key, response, select, in_tx=self._any_tx())
                 return response
         finally:
@@ -504,13 +504,13 @@ class Session:
                     "summary": result.inference.summary(),
                     "rendered": result.render(),
                     "warnings": warnings}
-                if not shedding:
+                if shedding:
                     # A degraded answer is not the full answer: never
                     # let it shadow future healthy serves.
-                    self.server._wire_memo_put(memo_key, response,
-                                               select,
-                                               in_tx=self._any_tx())
-                return response
+                    return response
+                return self.server._wire_memo_put(memo_key, response,
+                                                  select,
+                                                  in_tx=self._any_tx())
         finally:
             self.locks.statement_done()
 
@@ -905,19 +905,22 @@ class IntensionalQueryServer:
         return response
 
     def _wire_memo_put(self, key: tuple, response: dict,
-                       select: ast.SelectStmt, in_tx: bool) -> None:
+                       select: ast.SelectStmt, in_tx: bool
+                       ) -> dict | bytes:
         """Memoize *response* unless any transaction is open (entries
         derived from uncommitted state must never be shareable) or the
-        rule base is degraded."""
+        rule base is degraded.  Returns what to send: the stored frame
+        when admitted, so a reply is encoded once, else *response*."""
         if in_tx or self._degraded_now():
-            return
+            return response
         deps = self._memo_deps(select)
         if deps is None:
-            return
+            return response
         if len(self._wire_memo) >= WIRE_MEMO_CAPACITY:
             self._wire_memo.pop(next(iter(self._wire_memo)))
-        self._wire_memo[key] = (deps, self.system.rules.version,
-                                protocol.encode_frame(response))
+        frame = protocol.encode_frame(response)
+        self._wire_memo[key] = (deps, self.system.rules.version, frame)
+        return frame
 
     def _degraded_now(self) -> bool:
         storage = self.system.database.storage

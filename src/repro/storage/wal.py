@@ -34,10 +34,16 @@ from repro import obs
 from repro.errors import CorruptWalRecord, StorageError
 from repro.storage.faults import REAL_OPS, FileOps
 
+
+def _stdlib_dumps(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":"))
+
+
 try:  # pragma: no cover - exercised implicitly by every WAL test
     import orjson
 
-    def _dumps(record: dict) -> str:
+    def _orjson_dumps(record: dict) -> str:
         # PASSTHROUGH_DATETIME keeps orjson as strict as the stdlib:
         # an unencoded date reaching the WAL is a codec bug and must
         # raise, not serialize to a form the reader cannot reverse.
@@ -46,13 +52,9 @@ try:  # pragma: no cover - exercised implicitly by every WAL test
             option=orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATETIME,
         ).decode("utf-8")
 
-    _loads = orjson.loads
-except ImportError:  # pragma: no cover - container ships orjson
-    def _dumps(record: dict) -> str:
-        return json.dumps(record, ensure_ascii=False, sort_keys=True,
-                          separators=(",", ":"))
-
-    _loads = json.loads
+    _dumps, _loads = _orjson_dumps, orjson.loads
+except ImportError:  # pragma: no cover - orjson is optional
+    _dumps, _loads = _stdlib_dumps, json.loads
 
 #: fsync policies: every append batch, only commit batches (default),
 #: or never (OS page cache only -- survives process death, not power

@@ -99,6 +99,31 @@ class TestMinimizationPreservesForwardPower:
                          for ref, interval, _s in minimal.facts.facts()}
         assert full_facts == minimal_facts
 
+    def test_unsatisfiable_facts_do_not_depend_on_rule_order(self):
+        """R1 and R2 contradict once R3 fires; the full set's duplicate
+        R4 changes which conclusion is held when the contradiction
+        surfaces, and the answers must not tell them apart."""
+        a, b, c = ATTRIBUTES
+
+        def rule(premise, conclusion):
+            return Rule([Clause(premise, Interval.point(0))],
+                        Clause(conclusion[0],
+                               Interval.point(conclusion[1])))
+
+        rules = RuleSet([rule(a, (b, 0)), rule(a, (b, 1)),
+                         rule(c, (a, 0)), rule(a, (b, 1))])
+        minimized = minimize_ruleset(rules).minimized
+        assert len(minimized) < len(rules)
+        clauses = [Clause(c, Interval.point(0))]
+        answers = []
+        for ruleset in (rules, minimized, RuleSet(list(rules)[::-1])):
+            result = TypeInferenceEngine(ruleset).infer(clauses,
+                                                        backward=False)
+            assert result.unsatisfiable
+            answers.append({ref.key: interval for ref, interval, _s
+                            in result.facts.facts()})
+        assert answers == [{c.key: Interval.point(0)}] * 3
+
 
 class TestCanonicalizerLaws:
     refs = st.sampled_from(

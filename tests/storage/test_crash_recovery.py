@@ -15,14 +15,18 @@ checkpoint renames and WAL rotation; a hypothesis layer adds randomized
 workload shapes on top.
 """
 
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.relational.database import Database
-from repro.relational.datatypes import INTEGER, char
+from repro.relational.datatypes import INTEGER, REAL, char
+from repro.sql.executor import execute_statement
 from repro.storage import (
-    CountingOps, FaultInjector, InjectedCrash, StorageEngine,
+    CountingOps, FaultInjector, InjectedCrash, StorageEngine, wal,
 )
 
 #: Partial-write fractions: nothing written, torn records of several
@@ -433,3 +437,97 @@ class TestRandomizedWorkloads:
         script = run_to_crash(workload, data_dir, injector)
         assert injector.dead
         assert_committed_prefix(data_dir, baseline.states, script.acked)
+
+
+# -- non-finite REALs: live equals recovered --------------------------------
+
+
+def same_cells(left, right) -> bool:
+    """Row lists equal cell by cell, each of one type, NaN equal to NaN."""
+    def same(a, b):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, float) and math.isnan(a):
+            return math.isnan(b)
+        return a == b and (not isinstance(a, float)
+                           or math.copysign(1.0, a) == math.copysign(1.0, b))
+    return len(left) == len(right) and all(
+        len(l_row) == len(r_row) and all(map(same, l_row, r_row))
+        for l_row, r_row in zip(left, right))
+
+
+@pytest.fixture(params=["orjson", "stdlib"])
+def wal_backend(request, monkeypatch):
+    """The JSON library the WAL writes and reads with, for one test:
+    orjson (skipped where it is not installed) or the stdlib."""
+    if request.param == "orjson":
+        orjson = pytest.importorskip("orjson")
+        monkeypatch.setattr(wal, "_dumps", wal._orjson_dumps)
+        monkeypatch.setattr(wal, "_loads", orjson.loads)
+    else:
+        monkeypatch.setattr(wal, "_dumps", wal._stdlib_dumps)
+        monkeypatch.setattr(wal, "_loads", json.loads)
+    return request.param
+
+
+def reject_constant(token):
+    raise AssertionError(f"bare {token} in a WAL record")
+
+
+class TestNonFiniteReals:
+    """NaN and the infinities replay from the WAL as written, whichever
+    JSON library writes and reads it (orjson alone would write ``null``,
+    the stdlib a non-standard ``NaN``/``Infinity`` token)."""
+
+    STATEMENTS = (
+        "INSERT INTO T VALUES (99, 1e999)",
+        "INSERT INTO T VALUES (100, 1e999)",
+        "UPDATE T SET V = V - V WHERE Id = 100",
+        "INSERT INTO T VALUES (101, -1e999)",
+        "INSERT INTO T VALUES (102, -0.0)",
+    )
+
+    def run_statements(self, data_dir, checkpoint_after=None):
+        """T's live rows after registering it and running STATEMENTS,
+        plus the WAL's path."""
+        database = Database("w")
+        engine = StorageEngine(database, data_dir)
+        try:
+            # The register record carries non-finite cells too.
+            database.create("T", [("Id", INTEGER), ("V", REAL)],
+                            [(1, math.nan), (2, -math.inf)])
+            for index, statement in enumerate(self.STATEMENTS):
+                execute_statement(database, statement)
+                if index == checkpoint_after:
+                    engine.checkpoint()
+            return list(database.relation("T").rows), engine.wal.path
+        finally:
+            engine.wal.close()
+
+    @pytest.mark.parametrize("checkpoint_after", [None, 0, 2])
+    def test_recovered_rows_equal_live(self, tmp_path, wal_backend,
+                                       checkpoint_after):
+        data_dir = str(tmp_path / "data")
+        live, _path = self.run_statements(data_dir, checkpoint_after)
+        assert [type(value) for _, value in live] == [float] * 6
+        assert math.isnan(live[3][1]) and live[2][1] == math.inf
+        recovered, _report = StorageEngine.recover(data_dir)
+        try:
+            assert same_cells(recovered.database.relation("T").rows, live)
+        finally:
+            recovered.wal.close()
+
+    def test_records_tag_non_finite_cells(self, tmp_path, wal_backend):
+        _live, path = self.run_statements(str(tmp_path / "data"))
+        cells = []
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                record = json.loads(line, parse_constant=reject_constant)
+                rows = record.get("rows", []) + [
+                    row for _position, row in record.get("changes", [])]
+                cells += [row[1] for row in rows]
+        # The register record's two rows, two inserts, the update,
+        # two more inserts.
+        assert cells == [{"f": "nan"}, {"f": "-inf"}, {"f": "inf"},
+                         {"f": "inf"}, {"f": "nan"}, {"f": "-inf"}, -0.0]
+        assert math.copysign(1.0, cells[-1]) == -1.0
