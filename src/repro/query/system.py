@@ -143,6 +143,15 @@ class IntensionalQueryProcessor:
         """The attached :class:`~repro.storage.StorageEngine`, if any."""
         return self.database.storage
 
+    @property
+    def degraded(self) -> bool:
+        """Whether intensional answering is suppressed: the attached
+        storage holds a rule base that data committed since its last
+        induction has made stale."""
+        storage = self.database.storage
+        return (storage is not None and storage.has_rules
+                and storage.rules_stale)
+
     def _require_storage(self, action: str = "do this"):
         if self.database.storage is None:
             from repro.errors import StorageError
@@ -237,9 +246,7 @@ class IntensionalQueryProcessor:
         from repro.cache.core import query_cache
         from repro.sql.fingerprint import normalize_sql
         start = time.perf_counter()
-        storage = self.database.storage
-        degraded = (storage is not None and storage.has_rules
-                    and storage.rules_stale)
+        degraded = self.degraded
         cache = query_cache(self.database)
         ask_key = (normalize_sql(sql), bool(forward), bool(backward))
         warnings: list[str] = []
@@ -248,7 +255,8 @@ class IntensionalQueryProcessor:
                                       degraded)
             if cached is not None:
                 span.set(rows=len(cached.extensional),
-                         intensional=len(cached.inference.answers()),
+                         intensional=len(cached.inference.forward)
+                         + len(cached.inference.backward),
                          cached=True)
                 if obs.enabled():
                     obs.observe_query(cached.statement.render(),
@@ -278,7 +286,8 @@ class IntensionalQueryProcessor:
                     equivalences=conditions.equivalences,
                     forward=forward, backward=backward)
             span.set(rows=len(extensional),
-                     intensional=len(inference.answers()),
+                     intensional=len(inference.forward)
+                     + len(inference.backward),
                      degraded=degraded)
         result = QueryResult(statement, extensional, inference,
                              conditions.unused, warnings=warnings)

@@ -28,10 +28,12 @@ Query-cache entries admitted while a transaction is open are tagged
 with the owning session (see :class:`repro.cache.core.QueryCache`), so
 one session's transaction-private entries are never served to another.
 
-Hot read responses additionally go through a small *wire memo*: the
-fully encoded response bytes of a SELECT/ask are reused while the
-version vector of the touched relations (and the rule-base version)
-is unchanged, skipping re-encoding on the serve path entirely.
+Hot read responses additionally go through a *wire memo*: the fully
+encoded response bytes of a SELECT/ask are reused while the query
+cache's dependency check (:func:`repro.cache.core.deps_valid`) passes
+over the touched relations and the rule base has neither moved nor gone
+stale, skipping re-encoding on the serve path entirely.  The memo holds
+at most :data:`WIRE_MEMO_BYTES` of frames.
 
 Lifecycle: connection limits refuse excess clients with an error
 frame; idle sessions are closed after ``idle_timeout_s``; shutdown
@@ -66,6 +68,7 @@ import time
 from typing import Any
 
 from repro import obs
+from repro.cache.core import deps_of, deps_valid
 from repro.errors import (
     DeadlineExceeded, LockTimeout, ProtocolError, ReproError, SqlError,
     StorageError,
@@ -91,8 +94,10 @@ ADMIN_COMMANDS = frozenset({
     "schema", "show", "slowlog", "tables", "trace", "wal",
 })
 
-#: Wire-memo capacity (encoded responses for hot repeated reads).
-WIRE_MEMO_CAPACITY = 128
+#: Wire-memo budget: bytes of encoded response frames kept for hot
+#: repeated reads.  The oldest frames go first; a frame larger than the
+#: whole budget is sent but not kept.
+WIRE_MEMO_BYTES = 6 * 1024 * 1024
 
 
 class Session:
@@ -316,13 +321,14 @@ class Session:
             raise SqlError("empty sql request")
         # Memo before admission: a cached read costs no execution slot,
         # so hot reads keep serving even while the gate sheds new work.
-        hit = self._memo_fast_path(("sql", normalize_sql(text)))
+        memo_key = ("sql", normalize_sql(text))
+        hit = self._memo_fast_path(memo_key)
         if hit is not None:
             return hit
         with self.server.admission.admit(deadline):
             statement = parse_statement(text)
             if isinstance(statement, (ast.SelectStmt, ast.ExplainStmt)):
-                return self._read_statement(text, statement, deadline)
+                return self._read_statement(statement, memo_key, deadline)
             return self._write_statement(text, statement, request,
                                          deadline)
 
@@ -339,24 +345,22 @@ class Session:
         with self.server.engine_lock:
             return self.server._wire_memo_get(key)
 
-    def _read_statement(self, text: str, statement,
+    def _read_statement(self, statement, memo_key: tuple,
                         deadline: Deadline | None = None) -> dict | bytes:
-        select = (statement.select
-                  if isinstance(statement, ast.ExplainStmt) else statement)
-        memo_key = None
-        if isinstance(statement, ast.SelectStmt):
-            memo_key = ("sql", normalize_sql(text))
+        """A SELECT's relation reply, through the wire memo under
+        *memo_key*, or an EXPLAIN's text, which is never memoized."""
+        explain = isinstance(statement, ast.ExplainStmt)
+        select = statement.select if explain else statement
         self._lock_tables(select, exclusive=False)
         system = self.server.system
         try:
             with self.server.engine_lock:
-                if memo_key is not None:
+                if not explain:
                     hit = self.server._wire_memo_get(memo_key)
                     if hit is not None:
                         return hit
-                degraded = self._degraded()
-                rules = None if degraded else system.rules
-                if isinstance(statement, ast.ExplainStmt):
+                rules = None if system.degraded else system.rules
+                if explain:
                     from repro.plan.explain import explain_select
                     with self._statement_guard(deadline):
                         return {"ok": True, "kind": "text",
@@ -374,10 +378,8 @@ class Session:
                 response = {
                     "ok": True, "kind": "relation",
                     "relation": protocol.encode_relation_payload(result)}
-                if memo_key is not None:
-                    return self.server._wire_memo_put(
-                        memo_key, response, select, in_tx=self._any_tx())
-                return response
+                return self.server._wire_memo_put(
+                    memo_key, response, select, in_tx=self._any_tx())
         finally:
             self.locks.statement_done()
 
@@ -529,7 +531,7 @@ class Session:
             with self.server.engine_lock:
                 from repro.plan.explain import explain_select
                 system = self.server.system
-                rules = None if self._degraded() else system.rules
+                rules = None if system.degraded else system.rules
                 with self._statement_guard(deadline):
                     return {"ok": True, "kind": "text",
                             "text": explain_select(system.database,
@@ -629,11 +631,6 @@ class Session:
             else:
                 self.locks.slock(name)
 
-    def _degraded(self) -> bool:
-        storage = self.server.system.database.storage
-        return (storage is not None and storage.has_rules
-                and storage.rules_stale)
-
     def _any_tx(self) -> bool:
         storage = self.server.system.database.storage
         return self.in_transaction or (storage is not None
@@ -698,11 +695,13 @@ class IntensionalQueryServer:
         self._next_session = 1
         self._closing = threading.Event()
         self._shell = None
-        #: key -> (deps, rules_version, encoded response frame).  The
-        #: memo stores *encoded bytes*, not the response dict: a hit
-        #: skips JSON encoding entirely, which is what lets N client
-        #: processes scale past one server-side GIL.
+        #: key -> (deps, rules_version, encoded response frame), oldest
+        #: first.  The memo stores *encoded bytes*, not the response
+        #: dict: a hit skips JSON encoding entirely, which is what lets
+        #: N client processes scale past one server-side GIL.
         self._wire_memo: dict[tuple, tuple[tuple, int, bytes]] = {}
+        #: bytes of the frames in ``_wire_memo``, at most WIRE_MEMO_BYTES.
+        self._wire_memo_bytes = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -834,6 +833,13 @@ class IntensionalQueryServer:
             return
         self._closing.set()
         try:
+            # Closing alone does not wake a thread blocked in accept()
+            # on Linux: the accept thread would live on, holding this
+            # server and its system.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
@@ -865,67 +871,52 @@ class IntensionalQueryServer:
         self._reaper_thread = None
         self._listener = None
         self._wire_memo.clear()
+        self._wire_memo_bytes = 0
 
     # -- wire memo ---------------------------------------------------------
 
-    def _memo_deps(self, select: ast.SelectStmt) -> tuple | None:
-        database = self.system.database
-        deps = []
-        for table in select.tables:
-            name = table.name.lower()
-            if name not in database.catalog:
-                return None
-            relation = database.catalog.get(name)
-            deps.append((name, id(relation), relation.version))
-        return tuple(deps)
-
     def _wire_memo_get(self, key: tuple) -> bytes | None:
-        """The encoded response frame for *key*, if its version vector
-        (and the rule-base version) still hold.  Call under the engine
-        lock."""
+        """The encoded response frame for *key*, while the query cache's
+        dependency check passes for it and the rule base has neither
+        moved nor gone stale.  Call under the engine lock."""
         entry = self._wire_memo.get(key)
         if entry is None:
             return None
-        deps, rules_version, response = entry
-        # Entries are only admitted with a fresh rule base, so a
-        # degraded (stale-rules) system invalidates every memo hit.
-        if (rules_version != self.system.rules.version
-                or self._degraded_now()):
-            del self._wire_memo[key]
+        deps, rules_version, frame = entry
+        system = self.system
+        if (rules_version != system.rules.version or system.degraded
+                or not deps_valid(system.database.catalog, deps)):
+            self._wire_memo_drop(key)
             return None
-        database = self.system.database
-        for name, ident, version in deps:
-            if name not in database.catalog:
-                del self._wire_memo[key]
-                return None
-            relation = database.catalog.get(name)
-            if id(relation) != ident or relation.version != version:
-                del self._wire_memo[key]
-                return None
-        return response
+        return frame
 
     def _wire_memo_put(self, key: tuple, response: dict,
                        select: ast.SelectStmt, in_tx: bool
                        ) -> dict | bytes:
         """Memoize *response* unless any transaction is open (entries
         derived from uncommitted state must never be shareable) or the
-        rule base is degraded.  Returns what to send: the stored frame
-        when admitted, so a reply is encoded once, else *response*."""
-        if in_tx or self._degraded_now():
+        rule base is degraded.  Returns what to send: the encoded frame,
+        kept or too large to keep, so a reply is encoded once; else
+        *response* itself."""
+        if in_tx or self.system.degraded:
             return response
-        deps = self._memo_deps(select)
-        if deps is None:
-            return response
-        if len(self._wire_memo) >= WIRE_MEMO_CAPACITY:
-            self._wire_memo.pop(next(iter(self._wire_memo)))
         frame = protocol.encode_frame(response)
+        self._wire_memo_drop(key)
+        if len(frame) > WIRE_MEMO_BYTES:
+            return frame
+        while self._wire_memo_bytes + len(frame) > WIRE_MEMO_BYTES:
+            self._wire_memo_drop(next(iter(self._wire_memo)))
+        database = self.system.database
+        deps = deps_of(database.relation(table.name)
+                       for table in select.tables)
         self._wire_memo[key] = (deps, self.system.rules.version, frame)
+        self._wire_memo_bytes += len(frame)
         return frame
 
-    def _degraded_now(self) -> bool:
-        storage = self.system.database.storage
-        return (storage is not None and storage.has_rules
-                and storage.rules_stale)
+    def _wire_memo_drop(self, key: tuple) -> None:
+        entry = self._wire_memo.pop(key, None)
+        if entry is not None:
+            self._wire_memo_bytes -= len(entry[2])
 
     # -- admin/introspection ----------------------------------------------
 
@@ -970,5 +961,5 @@ class IntensionalQueryServer:
             "admission": self.admission.status(),
             "dedup": self.dedup.status(),
             "overloaded": self.admission.overloaded(),
-            "degraded_rules": self._degraded_now(),
+            "degraded_rules": self.system.degraded,
         }

@@ -1,17 +1,22 @@
-"""Property-based cache correctness: under any interleaving of queries
-and DML, a SELECT answered through the plan+result cache must return
-the same bag of rows as the uncached reference evaluator computes on
-the database's *current* state -- at every step, at every batch size,
-over every domain in the equivalence matrix (ship plus synthetic; see
-``tests/domain_fixtures.py``).
+"""Property-based cache correctness: under any interleaving of queries,
+asks and DML, a SELECT answered through the plan+result cache must
+return the same bag of rows as the uncached reference evaluator
+computes on the database's *current* state, and an ``ask()`` answered
+through the ask cache must equal the ask of a twin system with the
+cache off (rows as a bag, plus the rendered intensional answers) -- at
+every step, at every batch size, over every domain in the equivalence
+matrix (ship plus synthetic; see ``tests/domain_fixtures.py``).
 
 If invalidation ever misses a dependency (or invents one), some
-interleaving here serves a stale relation and the bag comparison fails.
+interleaving here serves a stale relation or answer and the comparison
+fails.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import query_cache
+from repro.ker import SchemaBinding
+from repro.query import IntensionalQueryProcessor
 from repro.sql.executor import execute_statement
 from repro.sql.parser import parse_select
 from repro.sql.reference import execute_select_reference
@@ -22,13 +27,16 @@ FIXTURES = EQUIVALENCE_FIXTURES
 
 @st.composite
 def interleavings(draw, max_size=12):
-    """Draw ``(fixture, ops)``: a domain plus a query/DML interleaving
-    whose indices are bounded by that domain's pools."""
+    """Draw ``(fixture, ops)``: a domain plus a query/ask/DML
+    interleaving whose indices are bounded by that domain's pools."""
     fixture = draw(st.sampled_from(FIXTURES))
     op = st.one_of(
         st.tuples(st.just("query"),
                   st.integers(0, len(fixture.queries) - 1),
                   st.sampled_from([1, None])),
+        st.tuples(st.just("ask"),
+                  st.integers(0, len(fixture.queries) - 1),
+                  st.none()),
         st.tuples(st.just("mutate"),
                   st.integers(0, len(fixture.mutations) - 1),
                   st.none()),
@@ -37,18 +45,44 @@ def interleavings(draw, max_size=12):
     return fixture, ops
 
 
+def fresh_system(fixture) -> IntensionalQueryProcessor:
+    """A processor over a new mutable copy of the fixture's database."""
+    database = fixture.fresh_database()
+    return IntensionalQueryProcessor(
+        database, fixture.rules,
+        binding=SchemaBinding(fixture.ker_schema, database))
+
+
+def answer(result) -> tuple:
+    """What an ask answers: its rows (a bag, by relation equality), the
+    rendered intensional answers and the warnings."""
+    return (result.extensional,
+            [item.render() for item in result.intensional],
+            result.warnings)
+
+
 @settings(max_examples=40, deadline=None)
 @given(interleavings())
 def test_cached_answers_track_every_interleaving(case):
     fixture, ops = case
-    database = fixture.fresh_database()
+    system = fresh_system(fixture)
+    database = system.database
     cache = query_cache(database)
     cache.enabled = True  # even on the REPRO_CACHE=off CI leg
     cache.floor_s = 0.0  # admit everything: maximum staleness exposure
+    twin = fresh_system(fixture)
+    query_cache(twin.database).enabled = False
     for index, (kind, choice, batch_size) in enumerate(ops):
         if kind == "mutate":
-            execute_statement(database,
-                              fixture.mutations[choice].format(i=index))
+            for target in (database, twin.database):
+                execute_statement(
+                    target, fixture.mutations[choice].format(i=index))
+            continue
+        if kind == "ask":
+            sql = fixture.queries[choice]
+            assert answer(system.ask(sql)) == answer(twin.ask(sql)), (
+                f"op {index} [{fixture.name}]: cached ask diverged for "
+                f"{sql!r}")
             continue
         statement = parse_select(fixture.queries[choice])
         cached = cache.execute_select(statement, batch_size=batch_size)
@@ -64,7 +98,8 @@ def test_disabled_cache_is_a_pure_passthrough(case):
     """The same interleavings with the cache off: results still match,
     and nothing is ever retained."""
     fixture, ops = case
-    database = fixture.fresh_database()
+    system = fresh_system(fixture)
+    database = system.database
     cache = query_cache(database)
     cache.enabled = False
     for index, (kind, choice, batch_size) in enumerate(ops):
@@ -73,6 +108,10 @@ def test_disabled_cache_is_a_pure_passthrough(case):
                               fixture.mutations[choice].format(i=index))
             continue
         statement = parse_select(fixture.queries[choice])
+        if kind == "ask":
+            assert (system.ask(fixture.queries[choice]).extensional
+                    == execute_select_reference(database, statement))
+            continue
         cached = cache.execute_select(statement, batch_size=batch_size)
         assert cached == execute_select_reference(database, statement)
     assert cache.entry_counts() == {"plan": 0, "result": 0, "ask": 0}

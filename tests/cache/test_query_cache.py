@@ -300,11 +300,12 @@ class TestRuleBase:
         cache = eager_cache(system.database)
         fresh = system.ask(ASK_SQL)
         assert fresh.intensional and not fresh.warnings
+        assert not system.degraded
         # Staling DML on a relation the query does NOT touch: the
         # version vector alone would still match, so only the degraded
         # flag in the entry can (and must) block the stale answer.
         execute_statement(system.database, INSERT_SONAR)
-        assert system.storage.rules_stale
+        assert system.storage.rules_stale and system.degraded
         degraded = system.ask(ASK_SQL)
         assert degraded is not fresh
         assert degraded.warnings and degraded.intensional == []
@@ -317,6 +318,7 @@ class TestRuleBase:
         execute_statement(system.database, INSERT_SONAR)
         system.ask(ASK_SQL)  # degraded, cached under the stale flag
         system.refresh_rules()
+        assert not system.degraded
         assert cache.counters.get("invalidate.reinduction", 0) >= 1
         restored = system.ask(ASK_SQL)
         assert not restored.warnings
@@ -324,6 +326,22 @@ class TestRuleBase:
                 == fresh.inference.forward_subtypes())
         # And the restored answer is served from cache on repeat.
         assert system.ask(ASK_SQL) is restored
+
+    def test_rule_base_mutation_recomputes_the_ask(self, ship_system):
+        from repro.rules.rule import Rule
+        cache = eager_cache(ship_system.database)
+        first = ship_system.ask(ASK_SQL)
+        assert ship_system.ask(ASK_SQL) is first
+        # Mutating the rule base changes its version: the entry minted
+        # for the old version is dropped, never served.
+        template = next(iter(ship_system.rules))
+        ship_system.rules.add(Rule(template.lhs, template.rhs,
+                                   support=template.support))
+        again = ship_system.ask(ASK_SQL)
+        assert again is not first
+        assert cache.counters["invalidate.stale_rules"] == 1
+        assert cache.counters["ask.miss"] == 2
+        assert ship_system.ask(ASK_SQL) is again
 
 
 class TestEvictionAndBudget:
@@ -394,46 +412,6 @@ class TestDisabling:
         cache.enabled = True
         run(database, SUB_SQL)
         assert cache.counters["result.hit"] == 1
-
-    def test_off_disables_the_inference_memo(self, monkeypatch,
-                                             ship_system):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        query_cache(ship_system.database).enabled = False
-        for _ in range(2):
-            ship_system.ask(ASK_SQL)
-        assert ship_system.engine.memo_hits == 0
-        assert ship_system.engine.memo_misses == 0
-
-
-class TestInferenceMemo:
-    def test_memo_hits_on_repeat_and_respects_rule_version(
-            self, ship_system, monkeypatch):
-        from repro.query.conditions import extract_conditions
-        from repro.rules.rule import Rule
-
-        # The memo gates on the env default per call; neutralize the
-        # CI leg that exports REPRO_CACHE=off.
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-
-        # Bypass the ask cache so infer() itself runs twice.
-        conditions = extract_conditions(ship_system.database,
-                                        parse_select(ASK_SQL))
-        engine = ship_system.engine
-        first = engine.infer(conditions.clauses,
-                             equivalences=conditions.equivalences)
-        again = engine.infer(conditions.clauses,
-                             equivalences=conditions.equivalences)
-        assert again is first
-        assert engine.memo_hits == 1
-
-        # Mutating the rule base changes its version: old memo entries
-        # can never satisfy the new key.
-        template = next(iter(ship_system.rules))
-        ship_system.rules.add(Rule(template.lhs, template.rhs,
-                                   support=template.support))
-        recomputed = engine.infer(conditions.clauses,
-                                  equivalences=conditions.equivalences)
-        assert recomputed is not first
 
 
 class TestObsMetrics:

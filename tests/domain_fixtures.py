@@ -28,6 +28,7 @@ class DomainFixture(NamedTuple):
     name: str
     database: object                    #: shared read-only instance
     rules: object                       #: rule base induced over it
+    ker_schema: object                  #: binds a fresh database
     scenarios: list                     #: (tables, join conjuncts)
     columns: dict                       #: table -> [(column, literals)]
     agg_column: str                     #: column for COUNT(<col>)
@@ -149,7 +150,8 @@ def ship_fixture() -> DomainFixture:
         "UPDATE CLASS SET Displacement = 9000 WHERE CLASS.Class = '0102'",
     ]
     return DomainFixture(
-        name="ship", database=database, rules=rules, scenarios=scenarios,
+        name="ship", database=database, rules=rules,
+        ker_schema=ship_ker_schema(), scenarios=scenarios,
         columns=columns, agg_column="Type", agg_tables=("CLASS", "TYPE"),
         queries=queries, mutations=mutations,
         fresh_database=ship_database)
@@ -168,7 +170,8 @@ def synth_fixture(domain: str, seed: int = 0, *,
 
     return DomainFixture(
         name=domain, database=instance.database, rules=instance.rules,
-        scenarios=scenarios, columns=columns, agg_column=agg_column,
+        ker_schema=instance.schema, scenarios=scenarios,
+        columns=columns, agg_column=agg_column,
         agg_tables=agg_tables, queries=queries, mutations=mutations,
         fresh_database=fresh_database)
 

@@ -60,6 +60,16 @@ class TestExample2Backward:
         best = result.best_backward_description()
         assert best["attribute"].attribute.lower() == "class"
 
+    def test_answers_share_their_descriptions(self, engine):
+        # Two answers hold one description object per (rule, origin),
+        # not one each: descriptions are most of what an answer keeps.
+        first = engine.infer([Clause.equals("CLASS.Type", "SSBN")])
+        again = engine.infer([Clause.equals("CLASS.Type", "SSBN")],
+                             equivalences=[JOIN_SUB_CLASS])
+        assert again is not first and first.backward
+        assert [id(item) for item in again.backward] == [
+            id(item) for item in first.backward]
+
     def test_incompleteness_documented(self, engine):
         # Class 1301 is an SSBN but no surviving rule covers it: the
         # backward description must not include it.

@@ -224,7 +224,7 @@ def assert_same_inference(engine, conditions, equivalences=()):
     equivalences = list(equivalences)
 
     def run():
-        return engine._infer(conditions, equivalences, True, True)
+        return engine.infer(conditions, equivalences)
 
     with full_scan():
         expected = outcome(run, result_view)
@@ -560,10 +560,9 @@ class TestExaminedSpanAttribute:
         obs.reset()
         obs.enable()
         try:
-            ship_system.engine._infer(
+            ship_system.engine.infer(
                 [Clause(AttributeRef("CLASS", "Displacement"),
-                        Interval.at_least(8000, strict=True))],
-                [], True, True)
+                        Interval.at_least(8000, strict=True))])
             plan_select(ship_system.database, parse_select(
                 "SELECT Class FROM CLASS WHERE Displacement >= 8000 "
                 "AND Displacement <= 20000 AND Type = 'SSN'"),

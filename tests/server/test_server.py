@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import io
 import socket
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.errors import ServerError, StorageError
 from repro.query import IntensionalQueryProcessor
+from repro.rules.ruleset import RuleSet
 from repro.server import IntensionalQueryServer, protocol
+from repro.server import server as server_module
 from repro.server.client import Client, connect, parse_address
+from repro.sql.executor import execute_select
+from repro.sql.parser import parse_select
 from repro.testbed import ship_database, ship_ker_schema
+from repro.testbed.generators import synthetic_star_database
 
 EXAMPLE_1 = (
     "SELECT SUBMARINE.ID, SUBMARINE.NAME, SUBMARINE.CLASS, CLASS.TYPE "
@@ -273,6 +280,15 @@ class TestLifecycle:
             assert server.sessions() == []
             client._drop()
 
+    def test_shutdown_ends_the_accept_thread(self):
+        # A thread left blocked in accept() would keep the server, and
+        # with it the whole system, alive after shutdown.
+        server = IntensionalQueryServer(_ship_system()).start()
+        accept = server._accept_thread
+        server.shutdown()
+        accept.join(5)
+        assert not accept.is_alive()
+
     def test_graceful_shutdown_rolls_back_open_transaction(
             self, tmp_path):
         data_dir = str(tmp_path / "data")
@@ -328,6 +344,84 @@ class TestWireMemo:
             # uncommitted row; the fresh read must see none.
             assert len(one.sql("SELECT Name FROM SUBMARINE "
                                "WHERE Id = 'SSN908'")) == 0
+
+
+    @staticmethod
+    def memo_bytes(server) -> int:
+        held = sum(len(frame) for _deps, _version, frame
+                   in server._wire_memo.values())
+        assert held == server._wire_memo_bytes
+        return held
+
+    def test_frames_stay_within_the_byte_cap(self):
+        """Distinct 20,000-row replies (about 248 KB each) never push
+        the memo past its byte cap: the oldest frames go first."""
+        system = IntensionalQueryProcessor(
+            synthetic_star_database(n_entities=20_000), RuleSet())
+        cap = server_module.WIRE_MEMO_BYTES
+        with IntensionalQueryServer(system, lock_timeout_s=2.0) as live, \
+                Client("127.0.0.1", live.port) as client:
+            frames = 0
+            for literal in range(1, 31):
+                sql = f"SELECT * FROM ENTITY WHERE ENTITY.Size > -{literal}"
+                assert len(client.sql(sql)) == 20_000
+                frames += len(live._wire_memo[("sql", sql.lower())][2])
+                assert self.memo_bytes(live) <= cap
+            assert frames > cap, "the replies must overflow the cap"
+            assert ("sql", sql.lower()) in live._wire_memo
+            assert ("sql", "select * from entity where entity.size > -1"
+                    ) not in live._wire_memo
+
+    def test_frame_larger_than_the_cap_is_sent_not_kept(
+            self, server, client, monkeypatch):
+        small = "SELECT Name FROM SUBMARINE WHERE Id = 'SSN648'"
+        large = "SELECT * FROM SUBMARINE"
+        client.sql(small)
+        kept = self.memo_bytes(server)
+        monkeypatch.setattr(server_module, "WIRE_MEMO_BYTES", kept + 64)
+        local = execute_select(server.system.database,
+                               parse_select(large))
+        assert client.sql(large).rows == local.rows
+        assert ("sql", large.lower()) not in server._wire_memo
+        assert self.memo_bytes(server) == kept
+        assert client.sql(small).rows == [("Aspro",)]
+
+    def test_byte_count_holds_under_concurrent_sessions(
+            self, server, monkeypatch):
+        """Four sessions admitting and evicting frames at once: the
+        memo's byte count stays the sum of its frames, under the cap."""
+        monkeypatch.setattr(server_module, "WIRE_MEMO_BYTES", 4096)
+        statements = [f"SELECT Name FROM SUBMARINE WHERE Class = '0{c}'"
+                      for c in (101, 102, 103, 201, 203, 204, 205)]
+        statements.append("SELECT * FROM SUBMARINE")
+        errors = []
+
+        def session(offset):
+            try:
+                with Client("127.0.0.1", server.port) as client:
+                    for step in range(40):
+                        sql = statements[(offset + step) % len(statements)]
+                        if step % 3 == 0:
+                            client.ask(sql)
+                        else:
+                            client.sql(sql)
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=session, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert self.memo_bytes(server) <= 4096
 
 
 class TestShellConnect:
