@@ -1,12 +1,13 @@
 """E23 (extension) -- the version-aware query cache: hot-hit speedup
 and the two overhead guards that make it safe to leave on.
 
-Three claims, each measured with interleaved best-of-N runs (noise
-hits both sides equally):
+Three claims:
 
 * **Hot hits pay off.**  Repeating the E22 scan+join over the 20k-row
   star catalog, and repeating an ``ask()`` (execution + inference)
-  over the ship system, must each be >= 10x faster than recomputing.
+  over the ship system, must each be >= 10x faster than recomputing
+  (interleaved best-of-N runs: noise hits both sides equally, and a
+  10x margin dwarfs it).
 * **Cold misses are near-free.**  With the cache cleared before every
   run, the probe/admit bookkeeping on the miss path may cost at most
   5% over the raw plan+execute pipeline.
@@ -14,12 +15,18 @@ hits both sides equally):
   (``enabled = False``) the pass-through path may also cost at most
   5% -- the knob must never punish users who turn the feature off.
 
+The two 5% guards compare runs of nearly the same work, so a best-of-N
+ratio swings wider than the budget between identical runs.  They take
+the median of per-pair ratios over :data:`OVERHEAD_PAIRS` pairs whose
+order alternates, and record the ratios' interquartile range beside it.
+
 Correctness rides along: the cached result must equal the reference
 evaluator's bag at morsel sizes 1 and default, and a hit must serve
 the identical object without re-executing.
 """
 
 import time
+from statistics import median, quantiles
 
 import pytest
 
@@ -50,6 +57,8 @@ ASK_SQL = ("SELECT SUBMARINE.Name FROM SUBMARINE, CLASS "
 
 HOT_TARGET = 10.0
 OVERHEAD_BUDGET = 0.05
+#: Pairs of runs behind each overhead guard's median ratio.
+OVERHEAD_PAIRS = 61
 
 _RESULTS: dict[str, dict] = {}
 
@@ -82,6 +91,30 @@ def _interleaved(fn_a, fn_b, repeats=7):
         fn_b()
         best_b = min(best_b, time.perf_counter() - start)
     return best_a, best_b
+
+
+def _paired_overhead(fn_base, fn_test, pairs=OVERHEAD_PAIRS) -> dict:
+    """Run *fn_base* and *fn_test* once per pair, the one that goes
+    first alternating, and summarize the per-pair ratios test/base: the
+    median overhead, its interquartile range, and each side's median
+    time."""
+    base_times, test_times, ratios = [], [], []
+    for index in range(pairs):
+        order = [(fn_base, base_times), (fn_test, test_times)]
+        if index % 2:
+            order.reverse()
+        for fn, times in order:
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        ratios.append(test_times[-1] / base_times[-1])
+    low, _middle, high = quantiles(ratios, n=4)
+    overhead = median(ratios) - 1.0
+    return {"uncached_s": median(base_times),
+            "cached_s": median(test_times),
+            "overhead": overhead, "overhead_iqr": high - low,
+            "pairs": pairs, "guard": f"<= {OVERHEAD_BUDGET:.0%}",
+            "guard_passed": overhead <= OVERHEAD_BUDGET}
 
 
 def test_cached_select_equivalent_at_all_batch_sizes(star_db):
@@ -159,16 +192,12 @@ def test_cold_miss_overhead_bounded(star_db):
         cache.clear()
         return cache.execute_select(statement)
 
-    uncached_s, miss_s = _interleaved(
-        lambda: _uncached(star_db, statement), miss, repeats=9)
-    overhead = miss_s / uncached_s - 1.0
-    _RESULTS["cold miss"] = {
-        "uncached_s": uncached_s, "cached_s": miss_s,
-        "overhead": overhead, "guard": f"<= {OVERHEAD_BUDGET:.0%}",
-        "guard_passed": overhead <= OVERHEAD_BUDGET}
-    assert overhead <= OVERHEAD_BUDGET, (
-        f"cold-miss path costs {overhead * 100:+.1f}% "
-        f"({miss_s * 1000:.3f}ms vs {uncached_s * 1000:.3f}ms uncached)")
+    result = _RESULTS["cold miss"] = _paired_overhead(
+        lambda: _uncached(star_db, statement), miss)
+    assert result["guard_passed"], (
+        f"cold-miss path costs {result['overhead'] * 100:+.1f}% "
+        f"(median of {OVERHEAD_PAIRS} pair ratios, IQR "
+        f"{result['overhead_iqr'] * 100:.1f}%)")
 
 
 def test_disabled_overhead_bounded(star_db):
@@ -181,26 +210,23 @@ def test_disabled_overhead_bounded(star_db):
     try:
         assert (cache.execute_select(statement)
                 == execute_select_reference(star_db, statement))
-        uncached_s, bypass_s = _interleaved(
+        result = _RESULTS["disabled bypass"] = _paired_overhead(
             lambda: _uncached(star_db, statement),
-            lambda: cache.execute_select(statement), repeats=9)
+            lambda: cache.execute_select(statement))
     finally:
         cache.enabled = True
-    overhead = bypass_s / uncached_s - 1.0
-    _RESULTS["disabled bypass"] = {
-        "uncached_s": uncached_s, "cached_s": bypass_s,
-        "overhead": overhead, "guard": f"<= {OVERHEAD_BUDGET:.0%}",
-        "guard_passed": overhead <= OVERHEAD_BUDGET}
-    assert overhead <= OVERHEAD_BUDGET, (
-        f"disabled-cache bypass costs {overhead * 100:+.1f}% "
-        f"({bypass_s * 1000:.3f}ms vs {uncached_s * 1000:.3f}ms)")
+    assert result["guard_passed"], (
+        f"disabled-cache bypass costs {result['overhead'] * 100:+.1f}% "
+        f"(median of {OVERHEAD_PAIRS} pair ratios, IQR "
+        f"{result['overhead_iqr'] * 100:.1f}%)")
 
 
 def test_report(star_db):
     rows = []
     for label, numbers in _RESULTS.items():
         ratio = (f"{numbers['speedup']:.1f}x" if "speedup" in numbers
-                 else f"{numbers['overhead'] * 100:+.1f}%")
+                 else f"{numbers['overhead'] * 100:+.1f}% "
+                      f"(IQR {numbers['overhead_iqr'] * 100:.1f}%)")
         verdict = "ok" if numbers["guard_passed"] else "FAIL"
         rows.append([label, f"{numbers['uncached_s'] * 1000:.3f}",
                      f"{numbers['cached_s'] * 1000:.3f}", ratio,

@@ -28,11 +28,13 @@ which all mutate through the same hooks -- the entries depending on
 that relation (and only those) are dropped.  The lazy version-vector
 check stays as a belt-and-suspenders guard.
 
-Transactions: entries admitted while an explicit transaction is open
-are *private* -- correct for the transaction that created them (there
-is no cross-connection visibility in this single-session engine), but
-discarded wholesale on rollback and only published on commit, so no
-entry born from state that never committed can outlive it.
+Transactions: nothing is admitted while an explicit transaction is
+open on the attached storage (:func:`in_transaction`; the refusal
+counts as ``admit.skipped``), the rule the server's wire memo keeps
+too.  Every entry therefore comes from committed state; a
+transaction's writes and its rollback's undo bump relation versions,
+which the listener and :func:`deps_valid` already check, so no reader
+is served uncommitted or undone rows.
 
 Everything is observable twice over: always-on internal counters (the
 ``\\cache`` shell command and the invalidation tests read these) and
@@ -44,7 +46,8 @@ the usual zero-when-disabled obs metrics
 Knobs: ``REPRO_CACHE=off`` disables caching process-wide (this module
 is the only reader), ``REPRO_CACHE_BYTES`` sets the value-store budget
 (default 32 MiB).  The dependency vector (:func:`deps_of`,
-:func:`deps_valid`) is shared with the server's wire memo.
+:func:`deps_valid`) and the transaction test (:func:`in_transaction`)
+are shared with the server's wire memo.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ __all__ = [
     "cache_enabled_default",
     "deps_of",
     "deps_valid",
+    "in_transaction",
     "query_cache",
 ]
 
@@ -120,6 +124,13 @@ def deps_valid(catalog, deps: tuple) -> bool:
     return True
 
 
+def in_transaction(database: Database) -> bool:
+    """Whether an explicit transaction is open on *database*'s storage:
+    while one is, nothing derived from the data may be memoized."""
+    storage = database.storage
+    return storage is not None and storage.in_transaction()
+
+
 def estimate_relation_bytes(relation: Relation) -> int:
     """Approximate retained size: fixed overhead plus the mean sampled
     row footprint scaled to the row count (sampling keeps admission
@@ -144,22 +155,15 @@ class _PlanEntry:
 
 
 class _ValueEntry:
-    __slots__ = ("value", "deps", "rules_version", "degraded", "nbytes",
-                 "private", "owner")
+    __slots__ = ("value", "deps", "rules_version", "degraded", "nbytes")
 
     def __init__(self, value, deps: tuple, rules_version: int,
-                 degraded: bool, nbytes: int, private: bool,
-                 owner=None):
+                 degraded: bool, nbytes: int):
         self.value = value
         self.deps = deps
         self.rules_version = rules_version
         self.degraded = degraded
         self.nbytes = nbytes
-        self.private = private
-        #: session token that admitted a private entry (None outside
-        #: the multi-session server); a private entry is served only
-        #: back to its owner until the transaction commits.
-        self.owner = owner
 
 
 class QueryCache:
@@ -175,13 +179,6 @@ class QueryCache:
         self._values: OrderedDict[tuple, _ValueEntry] = OrderedDict()
         #: relation name -> keys of value entries depending on it.
         self._by_dep: dict[str, set[tuple]] = {}
-        #: keys admitted inside the currently-open explicit transaction.
-        self._txn_keys: set[tuple] = set()
-        #: session token the multi-client server sets around statement
-        #: execution; tags private entries with their admitting session
-        #: so another session can never be served them (``None`` for
-        #: in-process single-session use, where everything matches).
-        self.current_owner = None
         self.bytes_used = 0
         #: always-on counters: ``"<level>.<hit|miss|bypass>"``,
         #: ``"invalidate.<reason>"``, ``"evictions"``, ``"admit.skipped"``.
@@ -196,10 +193,6 @@ class QueryCache:
     def _probe(self, level: str, result: str) -> None:
         self._count(f"{level}.{result}")
         obs.cache_event(level, result)
-
-    def _in_transaction(self) -> bool:
-        storage = self.database.storage
-        return storage is not None and storage.in_transaction()
 
     def _set_bytes_gauge(self) -> None:
         obs.gauge("query_cache_bytes",
@@ -312,12 +305,6 @@ class QueryCache:
         if entry is None:
             self._probe(level, "miss")
             return None
-        if entry.private and entry.owner != self.current_owner:
-            # Another session's transaction-private entry: invisible
-            # here (not dropped -- it is still valid for its owner,
-            # and commit will publish or rollback will discard it).
-            self._probe(level, "miss")
-            return None
         if entry.rules_version != rules_version or \
                 entry.degraded != degraded:
             self._drop(key, reason="stale_rules")
@@ -333,28 +320,16 @@ class QueryCache:
 
     def _admit(self, key: tuple, value, deps: tuple, rules_version: int,
                degraded: bool, elapsed: float, nbytes: int) -> None:
-        if elapsed < self.floor_s or nbytes > self.byte_budget:
+        if (elapsed < self.floor_s or nbytes > self.byte_budget
+                or in_transaction(self.database)):
             self._count("admit.skipped")
             return
-        existing = self._values.get(key)
-        if existing is not None:
-            if existing.private and existing.owner != self.current_owner:
-                # Another session's transaction-private entry under the
-                # same key: leave it for its owner (commit publishes or
-                # rollback discards it) rather than thrash the slot.
-                self._count("admit.skipped")
-                return
-            self._remove(key)
-        private = self._in_transaction()
-        entry = _ValueEntry(value, deps, rules_version, degraded, nbytes,
-                            private=private,
-                            owner=self.current_owner if private else None)
-        self._values[key] = entry
+        self._remove(key)
+        self._values[key] = _ValueEntry(value, deps, rules_version,
+                                        degraded, nbytes)
         self.bytes_used += nbytes
         for name, _relation, _version in deps:
             self._by_dep.setdefault(name, set()).add(key)
-        if entry.private:
-            self._txn_keys.add(key)
         while self.bytes_used > self.byte_budget and self._values:
             oldest = next(iter(self._values))
             self._remove(oldest)
@@ -374,7 +349,6 @@ class QueryCache:
                 keys.discard(key)
                 if not keys:
                     del self._by_dep[name]
-        self._txn_keys.discard(key)
 
     def _drop(self, key: tuple, reason: str) -> None:
         if key in self._values:
@@ -419,30 +393,12 @@ class QueryCache:
                 dropped += 1
         return dropped
 
-    def on_commit(self) -> None:
-        """Publish entries created inside the just-committed
-        transaction."""
-        for key in self._txn_keys:
-            entry = self._values.get(key)
-            if entry is not None:
-                entry.private = False
-                entry.owner = None
-        self._txn_keys.clear()
-
-    def on_rollback(self) -> None:
-        """Discard entries created inside the rolled-back transaction:
-        they were derived from state that never happened."""
-        for key in list(self._txn_keys):
-            self._drop(key, reason="rollback")
-        self._txn_keys.clear()
-
     def clear(self) -> int:
         """Drop everything (the ``\\cache clear`` command)."""
         dropped = len(self._plans) + len(self._values)
         self._plans.clear()
         for key in list(self._values):
             self._remove(key)
-        self._txn_keys.clear()
         self._count("invalidate.clear", dropped)
         self._set_bytes_gauge()
         return dropped

@@ -103,8 +103,9 @@ class Shell:
                 return True
             if first_word == "explain":
                 from repro.sql import execute_statement
-                self.write(execute_statement(self.system.database, line,
-                                             rules=self.system.rules))
+                self.write(execute_statement(
+                    self.system.database, line,
+                    rules=self.system.planner_rules))
                 return True
             result = self.system.ask(line)
             self.write(result.render())

@@ -54,8 +54,9 @@ class QueryResult:
     """Extensional answer plus intensional characterizations.
 
     ``warnings`` carries degradation notices -- today, that the rule
-    base is stale after recovery and intensional answering was
-    suppressed rather than risk answers induced from different data.
+    base is stale (data changed after the last induction) and
+    intensional answering was suppressed rather than risk answers
+    induced from different data.
     """
 
     def __init__(self, statement: SelectStmt, extensional: Relation,
@@ -145,12 +146,39 @@ class IntensionalQueryProcessor:
 
     @property
     def degraded(self) -> bool:
-        """Whether intensional answering is suppressed: the attached
-        storage holds a rule base that data committed since its last
-        induction has made stale."""
+        """Whether intensional answering is suppressed because the rules
+        no longer describe the data.
+
+        When the attached storage holds the rule base, its staleness
+        flag decides: data committed after the last stored induction
+        degrades, a rolled-back write does not.  Otherwise
+        :attr:`RuleSet.basis <repro.rules.ruleset.RuleSet.basis>`
+        decides: degraded when any relation it records is missing or at
+        another mutation version, whether or not a rule names it (a rule
+        over a relationship is induced through relations it never
+        names).  A rule set without a basis is trusted.
+        """
         storage = self.database.storage
-        return (storage is not None and storage.has_rules
-                and storage.rules_stale)
+        if storage is not None and storage.has_rules:
+            return storage.rules_stale
+        basis = self.rules.basis
+        if basis is None:
+            return False
+        catalog = self.database.catalog
+        for name, version in basis.items():
+            if (name not in catalog
+                    or catalog.get(name).version != version):
+                return True
+        return False
+
+    @property
+    def planner_rules(self) -> RuleSet | None:
+        """The rules the planner may rewrite queries with: ``None``
+        while :attr:`degraded`, so a stale rule can neither tighten nor
+        empty a plan.  Every path that plans a SELECT for this processor
+        (``ask``, ``explain``, the shell's EXPLAIN, the server's reads)
+        passes this."""
+        return None if self.degraded else self.rules
 
     def _require_storage(self, action: str = "do this"):
         if self.database.storage is None:
@@ -231,8 +259,8 @@ class IntensionalQueryProcessor:
             backward: bool = True) -> QueryResult:
         """Answer *sql* extensionally and intensionally.
 
-        When the database was recovered with a stale rule base, the
-        intensional half is suppressed (never silently wrong): the
+        While the rules no longer describe the data (:attr:`degraded`),
+        the intensional half is suppressed (never silently wrong): the
         result carries only the extensional answer plus a warning until
         :meth:`refresh_rules` runs.
 
@@ -265,9 +293,8 @@ class IntensionalQueryProcessor:
                                       kind="ask")
                 return cached
             statement = parse_select(sql)
-            extensional = execute_select(
-                self.database, statement,
-                rules=None if degraded else self.rules)
+            extensional = execute_select(self.database, statement,
+                                         rules=self.planner_rules)
             conditions = extract_conditions(self.database, statement)
             if degraded:
                 from repro.inference.facts import FactBase
@@ -320,8 +347,8 @@ class IntensionalQueryProcessor:
             statement = statement.select
         if not isinstance(statement, SelectStmt):
             raise SqlError("explain() takes a SELECT statement")
-        return explain_select(self.database, statement, rules=self.rules,
-                              analyze=analyze)
+        return explain_select(self.database, statement,
+                              rules=self.planner_rules, analyze=analyze)
 
     def explain_analyze(self, sql: str) -> str:
         """``EXPLAIN ANALYZE``: the plan tree annotated with measured

@@ -24,9 +24,11 @@ statements with strict two-phase relation locks
 * lock waits time out (deadlock victims); a victim inside an explicit
   transaction is rolled back before the error frame is sent.
 
-Query-cache entries admitted while a transaction is open are tagged
-with the owning session (see :class:`repro.cache.core.QueryCache`), so
-one session's transaction-private entries are never served to another.
+Nothing is memoized while a transaction is open: the query cache
+(:class:`repro.cache.core.QueryCache`) and the wire memo below both
+refuse admission while :func:`repro.cache.core.in_transaction` holds,
+and a session's ``begin`` always opens that storage transaction.
+Every memoized entry therefore comes from committed state.
 
 Hot read responses additionally go through a *wire memo*: the fully
 encoded response bytes of a SELECT/ask are reused while the query
@@ -68,7 +70,7 @@ import time
 from typing import Any
 
 from repro import obs
-from repro.cache.core import deps_of, deps_valid
+from repro.cache.core import deps_of, deps_valid, in_transaction
 from repro.errors import (
     DeadlineExceeded, LockTimeout, ProtocolError, ReproError, SqlError,
     StorageError,
@@ -345,10 +347,11 @@ class Session:
         with self.server.engine_lock:
             return self.server._wire_memo_get(key)
 
-    def _read_statement(self, statement, memo_key: tuple,
+    def _read_statement(self, statement, memo_key: tuple | None,
                         deadline: Deadline | None = None) -> dict | bytes:
         """A SELECT's relation reply, through the wire memo under
-        *memo_key*, or an EXPLAIN's text, which is never memoized."""
+        *memo_key*, or an EXPLAIN's text, which is never memoized (the
+        ``explain`` op passes no key)."""
         explain = isinstance(statement, ast.ExplainStmt)
         select = statement.select if explain else statement
         self._lock_tables(select, exclusive=False)
@@ -359,7 +362,7 @@ class Session:
                     hit = self.server._wire_memo_get(memo_key)
                     if hit is not None:
                         return hit
-                rules = None if system.degraded else system.rules
+                rules = system.planner_rules
                 if explain:
                     from repro.plan.explain import explain_select
                     with self._statement_guard(deadline):
@@ -367,19 +370,15 @@ class Session:
                                 "text": explain_select(
                                     system.database, select, rules=rules,
                                     analyze=statement.analyze)}
-                self._enter_cache_scope()
-                try:
-                    from repro.sql.executor import execute_select
-                    with self._statement_guard(deadline):
-                        result = execute_select(system.database, select,
-                                                rules=rules)
-                finally:
-                    self._exit_cache_scope()
+                from repro.sql.executor import execute_select
+                with self._statement_guard(deadline):
+                    result = execute_select(system.database, select,
+                                            rules=rules)
                 response = {
                     "ok": True, "kind": "relation",
                     "relation": protocol.encode_relation_payload(result)}
-                return self.server._wire_memo_put(
-                    memo_key, response, select, in_tx=self._any_tx())
+                return self.server._wire_memo_put(memo_key, response,
+                                                  select)
         finally:
             self.locks.statement_done()
 
@@ -411,37 +410,30 @@ class Session:
                     cached = server.dedup.get(dedup_key)
                     if cached is not None:
                         return dict(cached, deduplicated=True)
-                self._enter_cache_scope()
-                try:
-                    from repro.sql.executor import execute_statement
-                    storage = system.database.storage
-                    # Inside an explicit transaction the statement's
-                    # effects can still roll back, so no dedup entry
-                    # may outlive it; everywhere else the entry is
-                    # recorded -- durably (WAL) when storage is
-                    # attached, in memory otherwise (no restart to
-                    # survive without storage).
-                    record = (dedup_key is not None
-                              and not (storage is not None
-                                       and storage.in_transaction()))
-                    journaled = record and storage is not None
-                    with self._statement_guard(deadline):
-                        if journaled:
-                            # An outer statement scope: the executor's
-                            # inner scope exits at depth 1 without
-                            # flushing, so the dedup record commits in
-                            # the same WAL batch as the mutation.
-                            with storage.statement():
-                                count = execute_statement(
-                                    system.database, text)
-                                storage.note_dedup(dedup_key, {
-                                    "ok": True, "kind": "count",
-                                    "count": int(count)})
-                        else:
-                            count = execute_statement(
-                                system.database, text)
-                finally:
-                    self._exit_cache_scope()
+                from repro.sql.executor import execute_statement
+                storage = system.database.storage
+                # Inside an explicit transaction the statement's effects
+                # can still roll back, so no dedup entry may outlive
+                # it; everywhere else the entry is recorded -- durably
+                # (WAL) when storage is attached, in memory otherwise
+                # (no restart to survive without storage).
+                record = (dedup_key is not None
+                          and not in_transaction(system.database))
+                journaled = record and storage is not None
+                with self._statement_guard(deadline):
+                    if journaled:
+                        # An outer statement scope: the executor's inner
+                        # scope exits at depth 1 without flushing, so
+                        # the dedup record commits in the same WAL batch
+                        # as the mutation.
+                        with storage.statement():
+                            count = execute_statement(system.database,
+                                                      text)
+                            storage.note_dedup(dedup_key, {
+                                "ok": True, "kind": "count",
+                                "count": int(count)})
+                    else:
+                        count = execute_statement(system.database, text)
             server.stats["writes_total"] += 1
             response = {"ok": True, "kind": "count", "count": int(count)}
             if record:
@@ -484,14 +476,10 @@ class Session:
                 # extensionally -- a smaller, honest answer beats a
                 # shed request.
                 shedding = self.server.admission.overloaded()
-                self._enter_cache_scope()
-                try:
-                    with self._statement_guard(deadline):
-                        result = system.ask(
-                            text, forward=forward and not shedding,
-                            backward=backward and not shedding)
-                finally:
-                    self._exit_cache_scope()
+                with self._statement_guard(deadline):
+                    result = system.ask(
+                        text, forward=forward and not shedding,
+                        backward=backward and not shedding)
                 warnings = list(result.warnings)
                 if shedding and (forward or backward):
                     warnings.append(
@@ -511,8 +499,7 @@ class Session:
                     # let it shadow future healthy serves.
                     return response
                 return self.server._wire_memo_put(memo_key, response,
-                                                  select,
-                                                  in_tx=self._any_tx())
+                                                  select)
         finally:
             self.locks.statement_done()
 
@@ -526,20 +513,8 @@ class Session:
             statement = statement.select
         if not isinstance(statement, ast.SelectStmt):
             raise SqlError("explain takes a SELECT statement")
-        self._lock_tables(statement, exclusive=False)
-        try:
-            with self.server.engine_lock:
-                from repro.plan.explain import explain_select
-                system = self.server.system
-                rules = None if system.degraded else system.rules
-                with self._statement_guard(deadline):
-                    return {"ok": True, "kind": "text",
-                            "text": explain_select(system.database,
-                                                   statement,
-                                                   rules=rules,
-                                                   analyze=analyze)}
-        finally:
-            self.locks.statement_done()
+        return self._read_statement(ast.ExplainStmt(statement, analyze),
+                                    None, deadline)
 
     # -- admin -------------------------------------------------------------
 
@@ -630,21 +605,6 @@ class Session:
                 self.locks.xlock(name)
             else:
                 self.locks.slock(name)
-
-    def _any_tx(self) -> bool:
-        storage = self.server.system.database.storage
-        return self.in_transaction or (storage is not None
-                                       and storage.in_transaction())
-
-    def _enter_cache_scope(self) -> None:
-        """Tag query-cache admissions/lookups with this session, so
-        transaction-private entries never cross sessions."""
-        from repro.cache.core import query_cache
-        query_cache(self.server.system.database).current_owner = self.id
-
-    def _exit_cache_scope(self) -> None:
-        from repro.cache.core import query_cache
-        query_cache(self.server.system.database).current_owner = None
 
     def describe(self) -> dict:
         return {"id": self.id, "peer": f"{self.address}",
@@ -891,14 +851,13 @@ class IntensionalQueryServer:
         return frame
 
     def _wire_memo_put(self, key: tuple, response: dict,
-                       select: ast.SelectStmt, in_tx: bool
-                       ) -> dict | bytes:
-        """Memoize *response* unless any transaction is open (entries
+                       select: ast.SelectStmt) -> dict | bytes:
+        """Memoize *response* unless a transaction is open (entries
         derived from uncommitted state must never be shareable) or the
         rule base is degraded.  Returns what to send: the encoded frame,
         kept or too large to keep, so a reply is encoded once; else
         *response* itself."""
-        if in_tx or self.system.degraded:
+        if in_transaction(self.system.database) or self.system.degraded:
             return response
         frame = protocol.encode_frame(response)
         self._wire_memo_drop(key)

@@ -436,7 +436,6 @@ class StorageEngine:
     def _flush_commit(self) -> None:
         tx, self._tx, self._explicit = self._tx, None, False
         if tx is None or not tx.records:
-            self._notify_cache("commit")
             return
         records = ([{"type": "begin", "tx": tx.txid}]
                    + tx.records
@@ -446,19 +445,6 @@ class StorageEngine:
                     "transactions committed to the WAL").inc()
         self._track_staleness(tx.records)
         self._remember_dedup(tx.records)
-        self._notify_cache("commit")
-
-    def _notify_cache(self, event: str) -> None:
-        """Tell the query cache a transaction boundary passed: commit
-        publishes entries admitted inside the transaction, rollback
-        discards them (they were derived from undone state)."""
-        cache = getattr(self.database, "_query_cache", None)
-        if cache is None:
-            return
-        if event == "commit":
-            cache.on_commit()
-        else:
-            cache.on_rollback()
 
     def _track_staleness(self, records: list[dict]) -> None:
         synced_at = touched_data_at = None
@@ -513,7 +499,6 @@ class StorageEngine:
                 elif kind == "drop":
                     _kind, relation = entry
                     self.database.catalog.register(relation, replace=True)
-            self._notify_cache("rollback")
         finally:
             self._suspended = False
 

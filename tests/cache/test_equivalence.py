@@ -5,12 +5,18 @@ computes on the database's *current* state, and an ``ask()`` answered
 through the ask cache must equal the ask of a twin system with the
 cache off (rows as a bag, plus the rendered intensional answers) -- at
 every step, at every batch size, over every domain in the equivalence
-matrix (ship plus synthetic; see ``tests/domain_fixtures.py``).
+matrix (ship plus synthetic; see ``tests/domain_fixtures.py``).  Both
+systems sit on durable storage, so explicit transactions (begin,
+commit, rollback) interleave too, and while one is open the cache must
+admit nothing.
 
 If invalidation ever misses a dependency (or invents one), some
 interleaving here serves a stale relation or answer and the comparison
 fails.
 """
+
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,15 +26,17 @@ from repro.query import IntensionalQueryProcessor
 from repro.sql.executor import execute_statement
 from repro.sql.parser import parse_select
 from repro.sql.reference import execute_select_reference
+from repro.storage import StorageEngine
 from tests.domain_fixtures import EQUIVALENCE_FIXTURES
 
 FIXTURES = EQUIVALENCE_FIXTURES
 
 
 @st.composite
-def interleavings(draw, max_size=12):
+def interleavings(draw, max_size=12, transactions=False):
     """Draw ``(fixture, ops)``: a domain plus a query/ask/DML
-    interleaving whose indices are bounded by that domain's pools."""
+    interleaving whose indices are bounded by that domain's pools; with
+    *transactions*, begin/commit/rollback join the mix."""
     fixture = draw(st.sampled_from(FIXTURES))
     op = st.one_of(
         st.tuples(st.just("query"),
@@ -41,6 +49,10 @@ def interleavings(draw, max_size=12):
                   st.integers(0, len(fixture.mutations) - 1),
                   st.none()),
     )
+    if transactions:
+        op = st.one_of(op, st.tuples(
+            st.sampled_from(["begin", "commit", "rollback"]),
+            st.just(0), st.none()))
     ops = draw(st.lists(op, min_size=1, max_size=max_size))
     return fixture, ops
 
@@ -61,8 +73,14 @@ def answer(result) -> tuple:
             result.warnings)
 
 
+def held(cache) -> int:
+    """Result and ask entries in the cache's value store."""
+    counts = cache.entry_counts()
+    return counts["result"] + counts["ask"]
+
+
 @settings(max_examples=40, deadline=None)
-@given(interleavings())
+@given(interleavings(transactions=True))
 def test_cached_answers_track_every_interleaving(case):
     fixture, ops = case
     system = fresh_system(fixture)
@@ -72,24 +90,56 @@ def test_cached_answers_track_every_interleaving(case):
     cache.floor_s = 0.0  # admit everything: maximum staleness exposure
     twin = fresh_system(fixture)
     query_cache(twin.database).enabled = False
-    for index, (kind, choice, batch_size) in enumerate(ops):
-        if kind == "mutate":
-            for target in (database, twin.database):
-                execute_statement(
-                    target, fixture.mutations[choice].format(i=index))
-            continue
-        if kind == "ask":
-            sql = fixture.queries[choice]
-            assert answer(system.ask(sql)) == answer(twin.ask(sql)), (
-                f"op {index} [{fixture.name}]: cached ask diverged for "
-                f"{sql!r}")
-            continue
-        statement = parse_select(fixture.queries[choice])
-        cached = cache.execute_select(statement, batch_size=batch_size)
-        fresh = execute_select_reference(database, statement)
-        assert cached == fresh, (
-            f"op {index} [{fixture.name}]: cached answer diverged for "
-            f"{fixture.queries[choice]!r} at batch_size={batch_size}")
+    with tempfile.TemporaryDirectory() as data_dir:
+        engines = [StorageEngine(target.database,
+                                 os.path.join(data_dir, name),
+                                 fsync="never")
+                   for name, target in (("cached", system),
+                                        ("twin", twin))]
+        try:
+            for index, op in enumerate(ops):
+                in_transaction = engines[0].in_transaction()
+                before = held(cache)
+                replay_op(fixture, system, twin, index, op)
+                assert (engines[0].in_transaction()
+                        == engines[1].in_transaction())
+                assert not in_transaction or held(cache) <= before, (
+                    f"op {index} [{fixture.name}]: admitted inside a "
+                    f"transaction")
+        finally:
+            for engine in engines:
+                engine.wal.close()
+
+
+def replay_op(fixture, system, twin, index, op) -> None:
+    """Apply one drawn op to both systems and compare what they answer.
+    A begin while a transaction is open, or a commit or rollback while
+    none is, is skipped."""
+    kind, choice, batch_size = op
+    if kind in ("begin", "commit", "rollback"):
+        if (kind == "begin") != system.storage.in_transaction():
+            for target in (system, twin):
+                getattr(target, kind)()
+        return
+    if kind == "mutate":
+        for target in (system, twin):
+            execute_statement(target.database,
+                              fixture.mutations[choice].format(i=index))
+        return
+    if kind == "ask":
+        sql = fixture.queries[choice]
+        assert answer(system.ask(sql)) == answer(twin.ask(sql)), (
+            f"op {index} [{fixture.name}]: cached ask diverged for "
+            f"{sql!r}")
+        return
+    database = system.database
+    statement = parse_select(fixture.queries[choice])
+    cached = query_cache(database).execute_select(statement,
+                                                  batch_size=batch_size)
+    fresh = execute_select_reference(database, statement)
+    assert cached == fresh, (
+        f"op {index} [{fixture.name}]: cached answer diverged for "
+        f"{fixture.queries[choice]!r} at batch_size={batch_size}")
 
 
 @settings(max_examples=15, deadline=None)

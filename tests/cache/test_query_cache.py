@@ -1,5 +1,6 @@
-"""The version-aware query cache: hits, exact invalidation, transaction
-privacy, recovery replay, rule staleness, eviction, and the off switch.
+"""The version-aware query cache: hits, exact invalidation, no
+admission inside transactions, recovery replay, rule staleness,
+eviction, and the off switch.
 
 Every test asserts through the cache's always-on internal counters (the
 same numbers ``\\cache`` prints), so "invalidated exactly the dependent
@@ -44,6 +45,13 @@ def eager_cache(database) -> QueryCache:
 
 def run(database, sql):
     return execute_select(database, parse_select(sql))
+
+
+def value_store(cache) -> tuple:
+    """What the result/ask store holds: its entry counts and bytes
+    (plans are cached apart and hold no rows)."""
+    counts = cache.entry_counts()
+    return counts["result"], counts["ask"], cache.bytes_used
 
 
 class TestPlanAndResultCache:
@@ -151,6 +159,9 @@ class TestAskCache:
 
 
 class TestTransactions:
+    """Nothing is admitted while an explicit transaction is open, so
+    every entry comes from committed state."""
+
     @pytest.fixture()
     def durable(self, tmp_path):
         database = ship_database()
@@ -158,35 +169,52 @@ class TestTransactions:
         yield database, engine
         engine.wal.close()
 
-    def test_rollback_discards_private_entries(self, durable):
-        database, engine = durable
-        cache = eager_cache(database)
-        engine.begin()
-        run(database, SUB_SQL)
-        assert cache.entry_counts()["result"] == 1
-        engine.rollback()
-        assert cache.counters["invalidate.rollback"] == 1
-        assert cache.entry_counts()["result"] == 0
-        misses = cache.counters["result.miss"]
-        run(database, SUB_SQL)
-        assert cache.counters["result.miss"] == misses + 1
-
-    def test_commit_publishes_private_entries(self, durable):
+    def test_in_transaction_read_is_not_admitted_until_commit(
+            self, durable):
         database, engine = durable
         cache = eager_cache(database)
         engine.begin()
         first = run(database, SUB_SQL)
+        assert cache.entry_counts()["result"] == 0
+        assert cache.counters["admit.skipped"] == 1
+        # Computed again, never served from the store.
+        assert run(database, SUB_SQL) == first
+        assert "result.hit" not in cache.counters
         engine.commit()
-        assert run(database, SUB_SQL) is first
+        misses = cache.counters["result.miss"]
+        committed = run(database, SUB_SQL)
+        assert cache.counters["result.miss"] == misses + 1
+        assert run(database, SUB_SQL) is committed
         assert cache.counters["result.hit"] == 1
-        assert cache.counters.get("invalidate.rollback", 0) == 0
+
+    def test_rollback_leaves_the_store_as_it_was_at_begin(
+            self, ship_system, tmp_path):
+        """Neither a read nor an ask inside the transaction, nor its
+        write to SUBMARINE and the rollback's undo, changes what an
+        entry cached before ``begin`` on another relation serves."""
+        database = ship_system.database
+        engine = StorageEngine(database, str(tmp_path / "data"))
+        try:
+            cache = eager_cache(database)
+            sonar = run(database, SONAR_SQL)
+            held = value_store(cache)
+            engine.begin()
+            execute_statement(database, INSERT_SUB)
+            run(database, SUB_SQL)
+            ship_system.ask(ASK_SQL)
+            assert value_store(cache) == held
+            engine.rollback()
+            assert value_store(cache) == held
+            assert run(database, SONAR_SQL) is sonar
+        finally:
+            engine.wal.close()
 
     def test_rolled_back_mutation_restores_the_old_answer(self, durable):
         """An entry cached *before* the transaction is dropped by the
-        in-transaction DML; the re-execution inside the transaction
-        sees the new row; the rollback undo (a mutation like any other)
-        drops that entry in turn, so the post-rollback run returns the
-        original rows again."""
+        in-transaction DML, the only invalidation: the re-execution
+        inside the transaction sees the new row but is not admitted, so
+        the rollback undo has nothing left to drop, and the
+        post-rollback run returns the original rows again."""
         database, engine = durable
         cache = eager_cache(database)
         before = run(database, SUB_SQL)
@@ -199,59 +227,7 @@ class TestTransactions:
         assert after == before
         assert after == execute_select_reference(database,
                                                  parse_select(SUB_SQL))
-        assert cache.counters["invalidate.dml"] >= 2
-
-
-class TestOwnerScoping:
-    """Session-tagged private entries (the server sets
-    ``current_owner`` around every statement it executes)."""
-
-    @pytest.fixture()
-    def durable(self, tmp_path):
-        database = ship_database()
-        engine = StorageEngine(database, str(tmp_path / "data"))
-        yield database, engine
-        engine.wal.close()
-
-    def test_private_entry_invisible_to_other_owner(self, durable):
-        database, engine = durable
-        cache = eager_cache(database)
-        engine.begin()
-        cache.current_owner = "s1"
-        first = run(database, SUB_SQL)
-        # Another session probing the same statement mid-transaction
-        # must miss -- and the miss must not evict the owner's entry.
-        cache.current_owner = "s2"
-        misses = cache.counters["result.miss"]
-        assert run(database, SUB_SQL) is not first
-        assert cache.counters["result.miss"] == misses + 1
-        cache.current_owner = "s1"
-        assert run(database, SUB_SQL) is first
-        engine.rollback()
-        cache.current_owner = None
-
-    def test_commit_publishes_to_every_owner(self, durable):
-        database, engine = durable
-        cache = eager_cache(database)
-        engine.begin()
-        cache.current_owner = "s1"
-        first = run(database, SUB_SQL)
-        engine.commit()
-        cache.current_owner = "s2"
-        assert run(database, SUB_SQL) is first
-        cache.current_owner = None
-
-    def test_anonymous_transaction_stays_session_local(self, durable):
-        """In-process callers (no server) have ``current_owner=None``;
-        private entries still behave exactly as before the owner tag
-        existed."""
-        database, engine = durable
-        cache = eager_cache(database)
-        engine.begin()
-        first = run(database, SUB_SQL)
-        assert run(database, SUB_SQL) is first
-        engine.rollback()
-        assert cache.entry_counts()["result"] == 0
+        assert cache.counters["invalidate.dml"] == 1
 
 
 class TestRecoveryReplay:
