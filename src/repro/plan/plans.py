@@ -188,8 +188,8 @@ def _resolve_chain(plan: "Plan"):
     current column store, or ``None`` when *plan* is not a chain.
 
     An IndexScan's range is the starting selection, so a Filter over it
-    tests only those positions; the store and the positions come from
-    the same relation version.  Sets each chain node's actual rows and
+    tests only those positions; the positions come from the store's own
+    index.  Sets each chain node's actual rows and
     inclusive time to what the row path accumulates on full
     consumption.  Raises
     :class:`~repro.relational.kernels.UnsupportedKernel` when a
@@ -201,10 +201,10 @@ def _resolve_chain(plan: "Plan"):
     if leaf is None:
         return None
     start = time.perf_counter()
+    store = leaf.relation.column_store()
     selected = kernels.Selection(
-        leaf.relation.column_store(),
-        positions=(leaf.positions() if isinstance(leaf, IndexScanPlan)
-                   else None))
+        store, positions=(leaf.positions(store)
+                          if isinstance(leaf, IndexScanPlan) else None))
     leaf.actual_rows = len(selected)
     leaf.actual_time_s = time.perf_counter() - start
     if plan is leaf:
@@ -395,11 +395,10 @@ class TableScanPlan(Plan):
 class IndexScanPlan(Plan):
     """Index access path for one binding: the rows whose column lies in
     *interval* (a point is the one-value range), found by bisection in
-    a :class:`~repro.relational.indexes.SortedIndex` cached on the
-    database and version-checked.  The index is resolved when the first
-    batch is requested -- not at plan time -- so mutations between
-    planning and execution are seen through the cache's staleness
-    check."""
+    the :class:`~repro.relational.indexes.SortedIndex` on the relation's
+    column store.  The index is resolved when the first batch is
+    requested -- not at plan time -- so it reflects every mutation
+    between planning and execution."""
 
     def __init__(self, scope: Scope, binding: str, column: str,
                  interval: Interval, stats):
@@ -415,8 +414,8 @@ class IndexScanPlan(Plan):
         return self.stats.row_count * fraction
 
     def cost(self) -> float:
-        # An index probe touches only its matches (build cost amortizes
-        # across the workload through the cache).
+        # An index probe touches only its matches (the store builds the
+        # index once and DML patches it).
         return self.records_output()
 
     def distinct_values(self, binding: str, column: str) -> float:
@@ -427,10 +426,10 @@ class IndexScanPlan(Plan):
         return min(float(self.stats.distinct_values(column)),
                    max(1.0, self.records_output()))
 
-    def positions(self) -> list[int]:
-        """Ascending positions of the matching rows in the store."""
-        index = self.scope.database.indexes.sorted_index(self.relation,
-                                                         self.column)
+    def positions(self, store) -> list[int]:
+        """Ascending positions of the matching rows in *store*, the
+        relation's current column store."""
+        index = store.index(self.relation.schema.position(self.column))
         interval = self.interval
         return index.range(interval.low, interval.high,
                            low_inclusive=not interval.low_open,

@@ -6,12 +6,13 @@ denominator), and value distributions (min/max plus a small equi-width
 histogram for numeric columns) for range-selectivity estimates.
 
 Statistics are snapshots cached in a :class:`StatisticsCatalog`, one per
-:class:`~repro.relational.database.Database`.  Invalidation rides the
-catalog's single signal: while ``Catalog.stats_version()`` is unchanged,
-nothing in the database mutated and every cached snapshot is served
-as-is; once it moves, each snapshot is re-validated against its
-relation's identity and mutation version and recomputed only if that
-relation actually changed.
+:class:`~repro.relational.database.Database`.  While
+``Catalog.stats_version()`` is unchanged, nothing in the database
+mutated and every cached snapshot is served as-is; once it moves, each
+snapshot is kept while it describes the same relation object and the
+rows changed since it was taken stay below :data:`STALE_FRACTION` of
+its row count.  A plan is correct under any statistics; slightly old
+ones only cost plan quality.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any
 
 from repro import obs
 from repro.relational import columnar
-from repro.relational.columnar import DictionaryColumn, PlainColumn
+from repro.relational.columnar import NULL_CODE, DictionaryColumn, PlainColumn
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.rules.clause import Interval
@@ -33,6 +34,10 @@ HISTOGRAM_BUCKETS = 16
 #: Fallback fraction for predicates statistics cannot estimate
 #: (SimpleDB uses a constant reduction factor in the same role).
 DEFAULT_SELECTIVITY = 1 / 3
+
+#: A snapshot is recomputed once the rows changed since it was taken reach
+#: this fraction of its row count (PostgreSQL's default analyze factor).
+STALE_FRACTION = 0.1
 
 
 def _array_exact(np, array) -> bool:
@@ -174,7 +179,9 @@ class ColumnStats:
         """Build from a column-store column without materializing rows.
 
         Dictionary columns read null/distinct counts straight off the
-        code space; numeric plain columns reduce over their array.  Any
+        codes, and min/max from the values the codes still reference (a
+        delete or update can leave a value in the table that no row
+        holds); numeric plain columns reduce over their array.  Any
         column the fast paths cannot describe *exactly* (NULLs in a
         numeric column, NaN floats, integers past float53 precision,
         non-numeric plain values) falls back to the scalar constructor,
@@ -184,18 +191,12 @@ class ColumnStats:
         if isinstance(column, DictionaryColumn):
             self = cls.__new__(cls)
             self.name = name
-            size = len(column.codes)
-            if np is not None:
-                nulls = int((column.np_codes() < 0).sum())
-            else:
-                nulls = sum(1 for code in column.codes if code < 0)
-            self.nulls = nulls
-            self.non_null = size - nulls
-            # Incremental appends only ever add values and every other
-            # mutation rebuilds the store, so each dictionary entry is
-            # backed by at least one live row: cardinality IS distinct.
-            self.distinct = column.cardinality
-            values = column.values
+            held = set(column.codes)
+            held.discard(NULL_CODE)
+            self.nulls = column.codes.count(NULL_CODE)
+            self.non_null = len(column.codes) - self.nulls
+            self.distinct = len(held)
+            values = [column.values[code] for code in held]
             try:
                 self.min = min(values) if values else None
                 self.max = max(values) if values else None
@@ -307,12 +308,12 @@ class TableStats:
 
 
 class _Entry:
-    __slots__ = ("relation", "relation_version", "catalog_version", "stats")
+    __slots__ = ("relation", "changed_rows", "catalog_version", "stats")
 
     def __init__(self, relation: Relation, catalog_version: int,
                  stats: TableStats):
         self.relation = relation
-        self.relation_version = relation.version
+        self.changed_rows = relation.changed_rows
         self.catalog_version = catalog_version
         self.stats = stats
 
@@ -336,13 +337,14 @@ class StatisticsCatalog:
                             "statistics-cache probes by outcome",
                             result="hit").inc()
                 return entry.stats  # nothing anywhere changed
+            changed = relation.changed_rows - entry.changed_rows
             if (entry.relation is relation
-                    and entry.relation_version == relation.version):
+                    and changed < STALE_FRACTION * entry.stats.row_count):
                 entry.catalog_version = catalog_version
                 obs.counter("stats_cache_requests_total",
                             "statistics-cache probes by outcome",
                             result="revalidated").inc()
-                return entry.stats  # something else changed, not this
+                return entry.stats  # something else changed, or little
             obs.counter("stats_cache_invalidations_total",
                         "statistics snapshots invalidated by "
                         "relation mutations").inc()

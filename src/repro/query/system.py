@@ -20,7 +20,7 @@ from repro.ker.binding import SchemaBinding
 from repro.ker.model import KerSchema
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-from repro.rules.ruleset import RuleSet
+from repro.rules.ruleset import RuleSet, basis_of
 from repro.errors import SqlError
 from repro.query.conditions import extract_conditions
 from repro.sql.ast import ExplainStmt, SelectStmt
@@ -153,10 +153,11 @@ class IntensionalQueryProcessor:
         flag decides: data committed after the last stored induction
         degrades, a rolled-back write does not.  Otherwise
         :attr:`RuleSet.basis <repro.rules.ruleset.RuleSet.basis>`
-        decides: degraded when any relation it records is missing or at
-        another mutation version, whether or not a rule names it (a rule
-        over a relationship is induced through relations it never
-        names).  A rule set without a basis is trusted.
+        decides: degraded when any relation it records is missing, was
+        registered anew, or is at another mutation version, whether or
+        not a rule names it (a rule over a relationship is induced
+        through relations it never names).  A rule set without a basis
+        is trusted.
         """
         storage = self.database.storage
         if storage is not None and storage.has_rules:
@@ -165,9 +166,9 @@ class IntensionalQueryProcessor:
         if basis is None:
             return False
         catalog = self.database.catalog
-        for name, version in basis.items():
+        for name, recorded in basis.items():
             if (name not in catalog
-                    or catalog.get(name).version != version):
+                    or basis_of(catalog.get(name)) != recorded):
                 return True
         return False
 

@@ -37,7 +37,7 @@ from repro.relational.schema import Column, RelationSchema
 from repro.relational.relation import Relation, RowView
 from repro.relational.catalog import Catalog
 from repro.relational.database import Database
-from repro.relational.indexes import HashIndex, IndexCache, SortedIndex
+from repro.relational.indexes import HashIndex, SortedIndex
 
 __all__ = [
     "CharType",
@@ -57,6 +57,5 @@ __all__ = [
     "Catalog",
     "Database",
     "HashIndex",
-    "IndexCache",
     "SortedIndex",
 ]

@@ -9,10 +9,14 @@ version-validated cache over that row list: one ``zip(*rows)``
 transpose builds per-column value sequences, string columns whose
 cardinality stays low are dictionary-encoded (``int32`` code arrays +
 a value table), and numeric columns lazily materialize a numpy array
-when numpy is importable and the column is null-free.  Insert-only DML
-appends into a live store in place (row indices never move, so paused
-streams over a store snapshot stay correct); deletes, updates and
-wholesale restores drop the store and the next consumer rebuilds.
+when numpy is importable and the column is null-free.  The store also
+holds the sorted indexes built on its columns.  Live INSERT, DELETE and
+UPDATE patch the store in place, keeping the decoded lists, numpy
+arrays and indexes already built current; a delete or update replaces
+the row list instead of editing it, so a stream that took the list and
+its positions earlier serves that snapshot to the end.  Rollback undo,
+WAL replay and wholesale restores leave the store stale and the next
+consumer rebuilds it.
 
 numpy is strictly optional: every kernel in
 :mod:`repro.relational.kernels` has a pure-Python path over the same
@@ -22,8 +26,10 @@ store, so the tier-1 suite runs dependency-free.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Any, Iterable, Sequence
 
+from repro import obs
 from repro.relational.datatypes import CharType, DataType
 from repro.relational.schema import RelationSchema
 
@@ -44,6 +50,11 @@ DICT_MAX_CARDINALITY = 4096
 #: Code stored for NULL in a dictionary column's code array.
 NULL_CODE = -1
 
+#: An INSERT or UPDATE of more rows than this drops the store's indexes
+#: (the next probe rebuilds them) instead of patching them entry by
+#: entry: each entry moves the rest of the index over by one.
+INDEX_PATCH_LIMIT = 64
+
 
 def set_numpy_enabled(value: bool) -> None:
     """Force the pure-Python kernels even when numpy is importable
@@ -63,8 +74,10 @@ class DictionaryColumn:
     (:data:`NULL_CODE` for NULL) plus the table of distinct values in
     first-appearance order.
 
-    ``codes``/``values`` grow append-only, so codes handed out earlier
-    stay valid across DML appends -- the code space only ever grows.
+    ``values`` grows append-only, so codes handed out earlier stay
+    valid across DML -- the code space only ever grows.  After a delete
+    or update a value may be held by no row: ``cardinality`` counts the
+    values ever seen, not the values present.
     """
 
     __slots__ = ("codes", "values", "_code_of", "_np_codes", "_decoded")
@@ -77,21 +90,51 @@ class DictionaryColumn:
         self._decoded = None
 
     def append(self, value: Any) -> None:
-        if value is None:
-            self.codes.append(NULL_CODE)
-        else:
-            code = self._code_of.get(value)
-            if code is None:
-                code = len(self.values)
-                self._code_of[value] = code
-                self.values.append(value)
-            self.codes.append(code)
+        """Append one value (a build step: drops the caches)."""
+        self.codes.append(self._code(value))
         self._np_codes = None
         self._decoded = None
 
+    def _code(self, value: Any) -> int:
+        """The code of *value*, extending the value table when new."""
+        if value is None:
+            return NULL_CODE
+        code = self._code_of.get(value)
+        if code is None:
+            code = self._code_of[value] = len(self.values)
+            self.values.append(value)
+        return code
+
+    def extend(self, values: list) -> None:
+        """Append *values*, keeping the decoded list and codes current."""
+        start = len(self.codes)
+        self.codes.extend(self._code(value) for value in values)
+        if self._decoded is not None:
+            self._decoded.extend(values)
+        if self._np_codes is not None:
+            self._np_codes = _np.concatenate(
+                (self._np_codes, _np.array(self.codes[start:],
+                                           dtype=_np.int32)))
+
+    def delete(self, keep: list[bool], positions: list[int]) -> None:
+        """Drop the rows at *positions*, where ``keep`` is False."""
+        self.codes = array("i", compress(self.codes, keep))
+        if self._decoded is not None:
+            self._decoded = list(compress(self._decoded, keep))
+        if self._np_codes is not None:
+            self._np_codes = _np.delete(self._np_codes, positions)
+
+    def set(self, position: int, value: Any) -> None:
+        """Write *value* at *position*, in place."""
+        code = self.codes[position] = self._code(value)
+        if self._decoded is not None:
+            self._decoded[position] = value
+        if self._np_codes is not None:
+            self._np_codes[position] = code
+
     @property
     def cardinality(self) -> int:
-        """Distinct non-NULL values seen so far."""
+        """Distinct non-NULL values seen so far, held by a row or not."""
         return len(self.values)
 
     def code_for(self, value: Any) -> int | None:
@@ -100,8 +143,8 @@ class DictionaryColumn:
 
     def decode(self) -> list:
         """The raw values back, in row order (round-trip inverse of the
-        encoding).  Cached until the next append -- repeated gathers
-        (column-at-a-time projection, hash-join probes) must not
+        encoding).  Cached and kept current by DML patches -- repeated
+        gathers (column-at-a-time projection, hash-join probes) must not
         pay one full decode each.  Treat the returned list as
         read-only."""
         if self._decoded is None:
@@ -144,9 +187,36 @@ class PlainColumn:
         self._array = None
         self._array_stale = True
 
-    def append(self, value: Any) -> None:
-        self.values.append(value)
-        self._array_stale = True
+    def extend(self, values: list) -> None:
+        """Append *values*, extending a built numpy array when they fit
+        its dtype (else it is rebuilt on use)."""
+        self.values.extend(values)
+        if self._array is not None:
+            chunk = self._as_array(values)
+            if chunk is None:
+                self._array, self._array_stale = None, True
+            else:
+                self._array = _np.concatenate((self._array, chunk))
+
+    def delete(self, keep: list[bool], positions: list[int]) -> None:
+        """Drop the rows at *positions*, where ``keep`` is False."""
+        self.values = list(compress(self.values, keep))
+        if self._array is not None:
+            self._array = _np.delete(self._array, positions)
+        else:
+            self._array_stale = True  # the NULLs may have gone
+
+    def set(self, position: int, value: Any) -> None:
+        """Write *value* at *position*, in place; an array it does not
+        fit, or none (it may have replaced the NULL), is rebuilt on use."""
+        self.values[position] = value
+        if value is not None and self._array is not None:
+            try:
+                self._array[position] = value
+                return
+            except (TypeError, ValueError, OverflowError):
+                pass
+        self._array, self._array_stale = None, True
 
     def take(self, selection: Sequence[int]) -> "PlainColumn":
         """The values at *selection* as a column of their own."""
@@ -161,20 +231,21 @@ class PlainColumn:
             return None
         if self._array_stale:
             self._array_stale = False
-            if any(value is None for value in self.values):
-                # Checked explicitly: float64 conversion would silently
-                # turn None into NaN, breaking the "a built array proves
-                # no NULLs" contract the kernels rely on.
-                self._array = None
-            else:
-                try:
-                    self._array = _np.asarray(
-                        self.values,
-                        dtype=_np.float64 if self.datatype.name == "real"
-                        else _np.int64)
-                except (TypeError, ValueError, OverflowError):
-                    self._array = None
+            self._array = self._as_array(self.values)
         return self._array
+
+    def _as_array(self, values: list):
+        if any(value is None for value in values):
+            # Checked explicitly: float64 conversion would silently
+            # turn None into NaN, breaking the "a built array proves
+            # no NULLs" contract the kernels rely on.
+            return None
+        try:
+            return _np.asarray(
+                values, dtype=_np.float64 if self.datatype.name == "real"
+                else _np.int64)
+        except (TypeError, ValueError, OverflowError):
+            return None
 
 
 class ColumnStore:
@@ -184,16 +255,20 @@ class ColumnStore:
     (a pointer copy); selection vectors produced by the kernels index
     into it, so gathering survivors back into row form is one list
     comprehension.  ``version`` is stamped by
-    :meth:`Relation.column_store` for staleness checks.
+    :meth:`Relation.column_store` for staleness checks.  ``indexes``
+    maps a column position to its
+    :class:`~repro.relational.indexes.SortedIndex`, built by
+    :meth:`index` on first use and patched with the columns.
     """
 
-    __slots__ = ("schema", "rows", "columns", "version")
+    __slots__ = ("schema", "rows", "columns", "version", "indexes")
 
     def __init__(self, schema: RelationSchema,
                  rows: Sequence[tuple]) -> None:
         self.schema = schema
         self.rows: list[tuple] = list(rows)
         self.version = -1
+        self.indexes: dict[int, Any] = {}
         if self.rows:
             raw_columns = list(zip(*self.rows))
         else:
@@ -223,15 +298,71 @@ class ColumnStore:
         """The rows at *selection* (``None``: every row) as a store."""
         return self if selection is None else ColumnSelection(self, selection)
 
-    def append_rows(self, rows: Iterable[tuple]) -> None:
-        """Fold freshly inserted rows into the store in place.  Only
-        appends are incremental -- indices of existing rows never move,
-        so selection vectors and paused streams over :attr:`rows` stay
-        valid."""
-        for row in rows:
-            self.rows.append(row)
-            for column, value in zip(self.columns, row):
-                column.append(value)
+    def index(self, position: int):
+        """The sorted index on the column at *position*, built on use."""
+        index = self.indexes.get(position)
+        obs.counter("index_cache_requests_total",
+                    "sorted-index probes by outcome",
+                    result="miss" if index is None else "hit").inc()
+        if index is None:
+            from repro.relational.indexes import SortedIndex
+            index = SortedIndex(self.values(position))
+            self.indexes[position] = index
+        return index
+
+    # -- DML patches (applied by Relation's live mutators) ---------------
+
+    def append_rows(self, rows: list[tuple]) -> None:
+        """Fold freshly inserted rows into the store in place.  Indices
+        of existing rows never move, so selection vectors and paused
+        streams over :attr:`rows` stay valid."""
+        start = len(self.rows)
+        self.rows.extend(rows)
+        for at, column in enumerate(self.columns):
+            column.extend([row[at] for row in rows])
+        if self.indexes:
+            blank = (None,) * len(self.columns)  # no old entry to drop
+            self._patch_indexes([(start + offset, blank, row)
+                                 for offset, row in enumerate(rows)])
+
+    def delete(self, keep: list[bool], positions: list[int]) -> None:
+        """Drop the rows at the ascending *positions*, one pass per
+        column and index; the row list is replaced, not edited."""
+        self.rows = list(compress(self.rows, keep))
+        for column in self.columns:
+            column.delete(keep, positions)
+        for index in self.indexes.values():
+            index.delete(positions)
+
+    def replace(self, changes: list[tuple[int, tuple]]) -> None:
+        """Write each ``(position, row)`` of *changes* in place.  The row
+        list is copied first, so a stream holding the old list keeps
+        its snapshot."""
+        rows = self.rows = list(self.rows)
+        if self.indexes:
+            self._patch_indexes([(position, rows[position], row)
+                                 for position, row in changes])
+        for position, row in changes:
+            for column, old, new in zip(self.columns, rows[position], row):
+                if new is not old:
+                    column.set(position, new)
+            rows[position] = row
+
+    def _patch_indexes(self, changes: list) -> None:
+        """Move every index past *changes*, ``(position, old row, new
+        row)`` each.  An index whose keys stop ordering (a
+        ``TypeError``) is dropped, as are all of them when there are
+        more changes than :data:`INDEX_PATCH_LIMIT`."""
+        if len(changes) > INDEX_PATCH_LIMIT:
+            self.indexes.clear()
+            return
+        for at, index in list(self.indexes.items()):
+            try:
+                for position, old, new in changes:
+                    if old[at] != new[at]:
+                        index.move(old[at], new[at], position)
+            except TypeError:
+                del self.indexes[at]
 
 
 class ColumnSelection:

@@ -12,7 +12,6 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.relational import algebra
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import Expression
-from repro.relational.indexes import IndexCache
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
 from repro.relational.datatypes import DataType
@@ -24,9 +23,6 @@ class Database:
     def __init__(self, name: str = "db"):
         self.name = name
         self.catalog = Catalog()
-        #: version-checked cache of the sorted indexes the query
-        #: planner's index scans probe.
-        self.indexes = IndexCache()
         #: the attached durable StorageEngine, if any (set by the engine
         #: itself on attach; None means purely in-memory operation).
         self.storage = None

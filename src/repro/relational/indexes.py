@@ -10,21 +10,19 @@ probes them by value range.  Two index kinds cover those patterns:
   :mod:`bisect`, returning row positions; the planner serves a point as
   the one-value range ``[v, v]``.
 
-Indexes are snapshots: they index the rows present at construction time.
-Each snapshot records the relation's mutation version so staleness is
-detectable (:attr:`SortedIndex.is_stale`), and :class:`IndexCache` --
-held by the :class:`~repro.relational.database.Database` facade and
-used by the query planner -- rebuilds stale snapshots transparently
-instead of serving them.
+A hash index is a snapshot of the rows present at construction time.
+A sorted index lives on a relation's column store, which builds it on
+first use and patches it with every INSERT, DELETE and UPDATE the store
+absorbs; a rebuilt store starts without indexes.
 """
 
 from __future__ import annotations
 
 import bisect
 from array import array
-from typing import Any
+from itertools import compress
+from typing import Any, Sequence
 
-from repro import obs
 from repro.relational import columnar
 from repro.relational.relation import Relation
 
@@ -62,27 +60,23 @@ class HashIndex:
 
 
 class SortedIndex:
-    """Ordered index supporting range scans: the column's values sorted,
+    """Ordered index supporting range scans: a column's values sorted,
     with the row position of each alongside in one compact integer
     array.
 
-    Positions index the relation's rows at :attr:`built_version`, which
-    are the rows of its :class:`~repro.relational.columnar.ColumnStore`
-    at that version.  The sort is stable, so the positions of equal
-    values ascend.  NULL and NaN are left out: neither is equal to,
-    below or above any value, so neither lies in any range (as in the
-    kernels and the reference evaluator).
+    Positions index the rows of the
+    :class:`~repro.relational.columnar.ColumnStore` that holds the index
+    (:meth:`ColumnStore.index
+    <repro.relational.columnar.ColumnStore.index>`), and the store's DML
+    patches move them with the rows.  The positions of equal values
+    ascend, as a stable sort leaves them.  NULL and NaN are left out:
+    neither is equal to, below or above any value, so neither lies in
+    any range (as in the kernels and the reference evaluator).
     """
 
-    def __init__(self, relation: Relation, column: str):
-        self.relation = relation
-        self.column = column
-        self.built_version = relation.version
-        at = relation.schema.position(column)
-        values = [row[at] for row in relation.rows]
+    def __init__(self, values: Sequence[Any]):
         order = sorted((i for i, value in enumerate(values)
-                        if value is not None and value == value),
-                       key=values.__getitem__)
+                        if _orders(value)), key=values.__getitem__)
         self._keys = [values[i] for i in order]
         self._positions = array("q", order)
 
@@ -114,49 +108,51 @@ class SortedIndex:
             return np.sort(np.frombuffer(positions, dtype=np.int64)).tolist()
         return sorted(positions)
 
-    @property
-    def is_stale(self) -> bool:
-        """Whether the relation mutated since this snapshot was built."""
-        return self.relation.version != self.built_version
+    def move(self, old: Any, new: Any, position: int) -> None:
+        """Move row *position*'s entry from key *old* to key *new* (NULL
+        or NaN: no entry), placed among the equal keys by position --
+        after them all for an appended row.  Raises ``TypeError`` when
+        *new* does not order with the keys."""
+        if _orders(old):
+            at = self._among_equal(old, position)
+            del self._keys[at]
+            del self._positions[at]
+        if _orders(new):
+            at = self._among_equal(new, position)
+            self._keys.insert(at, new)
+            self._positions.insert(at, position)
+
+    def _among_equal(self, value: Any, position: int) -> int:
+        keys = self._keys
+        return bisect.bisect_left(self._positions, position,
+                                  bisect.bisect_left(keys, value),
+                                  bisect.bisect_right(keys, value))
+
+    def delete(self, doomed: list[int]) -> None:
+        """Drop the entries at the ascending row positions *doomed* and
+        shift every later position down by the doomed ones below it."""
+        np = columnar.numpy_module()
+        if np is not None:
+            positions = np.frombuffer(self._positions, dtype=np.int64)
+            gone = np.asarray(doomed, dtype=np.int64)
+            below = np.searchsorted(gone, positions)
+            keep = gone[np.minimum(below, len(gone) - 1)] != positions
+            self._keys = list(compress(self._keys, keep.tolist()))
+            self._positions = array("q", (positions - below)[keep].tobytes())
+            return
+        gone = set(doomed)
+        keys, positions = [], array("q")
+        for key, position in zip(self._keys, self._positions):
+            if position not in gone:
+                keys.append(key)
+                positions.append(position - bisect.bisect_left(doomed,
+                                                               position))
+        self._keys, self._positions = keys, positions
 
     def __len__(self) -> int:
         return len(self._keys)
 
 
-class IndexCache:
-    """Version-checked cache of sorted indexes for one database.
-
-    Entries are keyed by (relation name, column).  A cached index is
-    served only while it still refers to the *same* relation object
-    (drop/re-register swaps the object) and that relation has not
-    mutated since the snapshot was built; otherwise the index is rebuilt
-    on demand.  Amortized over a query workload this makes point and
-    range probes O(log n + matches) instead of O(relation).
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], SortedIndex] = {}
-        self.rebuilds = 0  #: observability: how many (re)builds happened
-
-    def sorted_index(self, relation: Relation, column: str) -> SortedIndex:
-        """A fresh-enough :class:`SortedIndex` on ``relation.column``."""
-        key = (relation.name.lower(), column.lower())
-        entry = self._entries.get(key)
-        fresh = (entry is not None and entry.relation is relation
-                 and not entry.is_stale)
-        obs.counter("index_cache_requests_total",
-                    "index-cache probes by outcome",
-                    result="hit" if fresh else "miss" if entry is None
-                    else "stale").inc()
-        if fresh:
-            return entry
-        entry = SortedIndex(relation, column)
-        self._entries[key] = entry
-        self.rebuilds += 1
-        return entry
-
-    def invalidate(self) -> None:
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def _orders(value: Any) -> bool:
+    """Whether *value* has a place in an order (not NULL, not NaN)."""
+    return value is not None and value == value

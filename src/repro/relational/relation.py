@@ -10,11 +10,15 @@ higher layers never index positions by hand.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.schema import Column, RelationSchema
 from repro.relational.datatypes import infer_type
+
+#: Source of :attr:`Relation.serial`.
+_SERIALS = count(1)
 
 
 class Relation:
@@ -43,10 +47,16 @@ class Relation:
         else:
             self._rows = [schema.check_row(row) for row in rows]
         self._version = 0
+        #: Process-unique identity (``id()`` can be reused): tells this
+        #: relation from one registered anew, whose version restarts.
+        self.serial = next(_SERIALS)
+        #: Rows changed by all mutations so far: a statistics
+        #: snapshot's age.
+        self.changed_rows = 0
         self._mutation_hooks: dict[int, Callable[["Relation"], None]] = {}
         self._next_hook_token = 1
-        #: lazy columnar snapshot (see :meth:`column_store`); inserts
-        #: fold in incrementally, every other mutation drops it.
+        #: lazy columnar snapshot (see :meth:`column_store`); live
+        #: mutations patch it, every other path drops it.
         self._column_store = None
         #: durable-storage journal (set by an attached StorageEngine via
         #: the catalog); mutators report their redo payload to it
@@ -172,11 +182,11 @@ class Relation:
         """The relation's columnar snapshot (see
         :mod:`repro.relational.columnar`), rebuilt when stale.
 
-        The store is a cache keyed on :attr:`version`: inserts fold in
-        incrementally (row indices never move, so outstanding selection
-        vectors stay valid), any other mutation drops it and the next
-        caller pays one transpose.  Consumers must not mutate the
-        returned store.
+        The store is a cache keyed on :attr:`version`.  INSERT, DELETE
+        and UPDATE patch it, with the indexes built on it; ``clear``,
+        ``restore_rows``, rollback undo and WAL replay leave it stale
+        and the next caller pays one transpose.  Consumers must not
+        mutate the returned store.
         """
         from repro.relational.columnar import ColumnStore
         store = self._column_store
@@ -187,17 +197,15 @@ class Relation:
         self._column_store = store
         return store
 
-    def _store_appended(self, rows: list[tuple]) -> None:
-        """Fold freshly appended *rows* into a live store (called by the
-        insert paths before :meth:`_touch` bumps the version)."""
-        store = self._column_store
-        if store is None:
-            return
-        if store.version == self._version:
-            store.append_rows(rows)
+    def _patch_store(self, patch: Callable[[Any], None]) -> None:
+        """Apply ``patch(store)`` to a current column store (called by
+        the live mutators before :meth:`_touch` bumps the version).  A
+        stale store is dropped, and so is one whose patch raised."""
+        store, self._column_store = self._column_store, None
+        if store is not None and store.version == self._version:
+            patch(store)
             store.version = self._version + 1  # stays fresh past _touch
-        else:
-            self._column_store = None  # already stale; stop paying rent
+            self._column_store = store
 
     # -- mutation (used by the Database facade and QUEL delete/append) ----
 
@@ -205,9 +213,9 @@ class Relation:
     def version(self) -> int:
         """Monotonic counter bumped on every mutation.
 
-        Snapshot consumers (indexes, statistics) record the version they
-        were built against and compare it against the live value instead
-        of silently serving stale data.
+        Snapshot consumers (the column store, the query cache) record
+        the version they were built against and compare it against the
+        live value instead of silently serving stale data.
         """
         return self._version
 
@@ -223,8 +231,10 @@ class Relation:
     def remove_mutation_hook(self, token: int) -> None:
         self._mutation_hooks.pop(token, None)
 
-    def _touch(self) -> None:
+    def _touch(self, changed: int) -> None:
+        """Bump the version, count *changed* rows and run the hooks."""
         self._version += 1
+        self.changed_rows += changed
         for hook in list(self._mutation_hooks.values()):
             hook(self)
 
@@ -239,8 +249,8 @@ class Relation:
         row = self.schema.check_row(values)
         self._log("insert", rows=[row])
         self._rows.append(row)
-        self._store_appended([row])
-        self._touch()
+        self._patch_store(lambda store: store.append_rows([row]))
+        self._touch(1)
         return row
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
@@ -248,8 +258,8 @@ class Relation:
         if checked:
             self._log("insert", rows=checked)
             self._rows.extend(checked)
-            self._store_appended(checked)
-            self._touch()
+            self._patch_store(lambda store: store.append_rows(checked))
+            self._touch(len(checked))
         return len(checked)
 
     def delete_where(self, predicate: Callable[[tuple], bool]) -> int:
@@ -259,11 +269,12 @@ class Relation:
         if not positions:
             return 0
         self._log("delete", positions=positions)
-        self._column_store = None
-        doomed = set(positions)
-        self._rows[:] = [row for index, row in enumerate(self._rows)
-                         if index not in doomed]
-        self._touch()
+        keep = [True] * len(self._rows)
+        for position in positions:
+            keep[position] = False
+        self._rows[:] = compress(self._rows, keep)
+        self._patch_store(lambda store: store.delete(keep, positions))
+        self._touch(len(positions))
         return len(positions)
 
     def replace_where(self, predicate: Callable[[tuple], bool],
@@ -283,10 +294,10 @@ class Relation:
         if not changes:
             return 0
         self._log("replace", changes=changes)
-        self._column_store = None
+        self._patch_store(lambda store: store.replace(changes))
         for index, row in changes:
             self._rows[index] = row
-        self._touch()
+        self._touch(len(changes))
         return len(changes)
 
     def clear(self) -> None:
@@ -294,8 +305,9 @@ class Relation:
             return
         self._log("clear")
         self._column_store = None
+        changed = len(self._rows)
         self._rows.clear()
-        self._touch()
+        self._touch(changed)
 
     def restore_rows(self, rows: Iterable[Sequence[Any]]) -> None:
         """Replace the row list wholesale (transaction rollback and
@@ -303,8 +315,9 @@ class Relation:
         storage engine -- but still bumps the mutation version and fires
         hooks, so caches invalidate exactly as for a live mutation."""
         self._column_store = None
+        before = len(self._rows)
         self._rows[:] = [tuple(row) for row in rows]
-        self._touch()
+        self._touch(max(before, len(self._rows)))
 
     # -- derived relations --------------------------------------------------
 
@@ -338,11 +351,11 @@ class Relation:
     def render(self, max_rows: int | None = None) -> str:
         """Fixed-width text table in the style of the paper's appendices."""
         header = self.schema.column_names()
-        body = [[_display(v) for v in row] for row in self._rows]
-        if max_rows is not None and len(body) > max_rows:
-            omitted = len(body) - max_rows
-            body = body[:max_rows] + [[f"... {omitted} more"] +
-                                      [""] * (len(header) - 1)]
+        shown = self._rows if max_rows is None else self._rows[:max_rows]
+        body = [[_display(v) for v in row] for row in shown]
+        if len(shown) < len(self._rows):
+            omitted = len(self._rows) - len(shown)
+            body.append([f"... {omitted} more"] + [""] * (len(header) - 1))
         widths = [len(h) for h in header]
         for line in body:
             for i, cell in enumerate(line):

@@ -125,6 +125,11 @@ def _inside(values: list, fact: Interval) -> slice:
     return slice(start, end)
 
 
+def basis_of(relation) -> tuple[int, int]:
+    """What a rule basis records of *relation*: serial and version."""
+    return relation.serial, relation.version
+
+
 class RuleSet:
     """An ordered collection of rules with attribute indexes.
 
@@ -154,15 +159,15 @@ class RuleSet:
         #: intensional answers on it, so swapping in a re-induced rule
         #: set (or mutating this one) invalidates them all at once.
         self.version = next(_VERSIONS)
-        #: Induction basis: relation name (lower) -> mutation version at
-        #: the moment the rules were induced, or ``None`` when unknown.
+        #: Induction basis: relation name (lower) -> ``basis_of`` the
+        #: relation when the rules were induced, or ``None`` when unknown.
         #: An induced rule is a fact about one specific database state;
         #: :meth:`fresh_for` lets consumers that *rewrite queries* with
         #: the rules (the planner's semantic optimizer) verify the state
         #: has not moved underneath them.  ``None`` preserves the legacy
         #: trust-the-caller behaviour (recovered rule bases are guarded
         #: by the storage engine's ``rule_sync`` staleness flag instead).
-        self.basis: dict[str, int] | None = None
+        self.basis: dict[str, tuple[int, int]] | None = None
         for rule in rules:
             self.add(rule)
 
@@ -279,10 +284,10 @@ class RuleSet:
     # -- induction basis -----------------------------------------------------
 
     def record_basis(self, database) -> None:
-        """Stamp the rule set with the mutation version of every
-        relation in *database*: the state these rules were induced from.
-        Call right after induction, before any DML can interleave."""
-        self.basis = {name.lower(): database.relation(name).version
+        """Stamp the rule set with the serial and mutation version of
+        every relation in *database*: the state these rules were induced
+        from.  Call right after induction, before any DML interleaves."""
+        self.basis = {name.lower(): basis_of(database.relation(name))
                       for name in database.catalog.names()}
 
     def references(self, relation_name: str) -> bool:
@@ -296,12 +301,13 @@ class RuleSet:
         """Whether query rewrites against *relation* are still sound.
 
         True when no basis was recorded (trusted caller), when the
-        relation's mutation version still matches the basis, or when no
-        rule mentions the relation (nothing could rewrite it anyway).
+        relation is still the object at the mutation version the basis
+        records, or when no rule mentions the relation (nothing could
+        rewrite it anyway).
         """
         if self.basis is None:
             return True
-        if self.basis.get(relation.name.lower()) == relation.version:
+        if self.basis.get(relation.name.lower()) == basis_of(relation):
             return True
         return not self.references(relation.name)
 
@@ -325,7 +331,7 @@ class RuleSet:
         # basis survives the merge so freshness checks keep working.
         bases = [b for b in (self.basis, other.basis) if b is not None]
         if bases:
-            combined: dict[str, int] = {}
+            combined: dict[str, tuple[int, int]] = {}
             for basis in bases:
                 combined.update(basis)
             merged.basis = combined

@@ -25,8 +25,9 @@ replay the WAL tail: records are applied in LSN order, only for
 transactions whose ``commit`` record survived, and idempotently -- each
 mutation record carries the relation's post-mutation version, and replay
 skips records at or below the relation's current watermark.  Replayed
-mutations go through the same ``_touch`` path as live ones, so index
-and statistics caches invalidate identically.
+mutations go through the same ``_touch`` path as live ones, so caches
+invalidate and statistics age identically (the column store, which
+live DML patches, is left stale and rebuilt on next use).
 
 The engine also tracks whether the **rule base** (the rule relations of
 :mod:`repro.rules.rule_relations`) still describes the data: an ILS run
@@ -475,18 +476,19 @@ class StorageEngine:
                 kind = entry[0]
                 if kind == "truncate":
                     _kind, relation, length = entry
+                    changed = len(relation.rows) - length
                     del relation.rows[length:]
-                    relation._touch()
+                    relation._touch(changed)
                 elif kind == "reinsert":
                     _kind, relation, items = entry
                     for position, row in items:  # ascending positions
                         relation.rows.insert(position, row)
-                    relation._touch()
+                    relation._touch(len(items))
                 elif kind == "putback":
                     _kind, relation, items = entry
                     for position, row in items:
                         relation.rows[position] = row
-                    relation._touch()
+                    relation._touch(len(items))
                 elif kind == "allrows":
                     _kind, relation, rows = entry
                     relation.restore_rows(rows)
@@ -695,15 +697,19 @@ def _apply(database: Database, record: dict) -> None:
     rows = relation.rows
     try:
         if op == "insert":
+            changed = len(record["rows"])
             rows.extend(codec.decode_row(row) for row in record["rows"])
         elif op == "delete":
             doomed = set(record["positions"])
+            changed = len(doomed)
             rows[:] = [row for index, row in enumerate(rows)
                        if index not in doomed]
         elif op == "replace":
+            changed = len(record["changes"])
             for index, row in record["changes"]:
                 rows[index] = codec.decode_row(row)
         elif op == "clear":
+            changed = len(rows)
             rows.clear()
         else:
             raise RecoveryError(f"unknown mutation op {op!r} in WAL")
@@ -712,6 +718,6 @@ def _apply(database: Database, record: dict) -> None:
             f"WAL record lsn {record['lsn']} does not fit relation "
             f"{relation.name} (wrong snapshot/WAL pair?)") from error
     # The same invalidation path as a live mutation: bump + hooks ...
-    relation._touch()
+    relation._touch(changed)
     # ... then pin the watermark to the logged post-mutation version.
     relation._version = version

@@ -14,10 +14,13 @@ import pytest
 
 from repro.cli import Shell, build_system
 from repro.inference.verification import verify_forward_answers
+from repro.plan.planner import plan_select
 from repro.query import IntensionalQueryProcessor
+from repro.relational.relation import Relation
 from repro.server import IntensionalQueryServer
 from repro.server.client import Client
 from repro.sql.executor import execute_statement
+from repro.sql.parser import parse_select
 from repro.testbed import ship_ker_schema
 
 SEAWOLF = "INSERT INTO CLASS VALUES ('0299', 'Seawolf', 'SSN', 9100)"
@@ -55,6 +58,30 @@ class TestDegradedWithoutStoredRules:
     def test_dropped_basis_relation_degrades(self, ship_system):
         ship_system.database.catalog.drop("SONAR")
         assert ship_system.degraded
+
+    def test_relation_registered_anew_degrades(self, ship_system):
+        """A relation registered anew starts again at version 0, as the
+        one the rules were induced on may still be; the basis tells the
+        two apart by serial, so neither ``ask()`` nor the planner
+        trusts the old rules over the new rows."""
+        catalog = ship_system.database.catalog
+        old = catalog.get("CLASS")
+        catalog.drop("CLASS")
+        catalog.register(Relation(old.schema, old.rows + [
+            ("0299", "Seawolf", "SSN", 9100)]))
+        assert catalog.get("CLASS").version == old.version
+        assert ship_system.degraded
+        result = ship_system.ask(HEAVY)
+        assert ("Seawolf", "SSN") in result.extensional
+        assert result.intensional == []
+        assert any("stale" in warning for warning in result.warnings)
+
+        planned = plan_select(ship_system.database,
+                              parse_select(HEAVY_SSN),
+                              rules=ship_system.rules)
+        assert "Empty" not in planned.render()
+        assert any("stale" in note for note in planned.notes)
+        assert planned.execute().rows == [("Seawolf",)]
 
     def test_rule_set_without_basis_is_trusted(self, ship_system):
         ship_system.rules.basis = None

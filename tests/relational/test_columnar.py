@@ -80,9 +80,12 @@ def test_store_is_version_validated_cache():
     assert store.values(2) == ["a", "b"]
     assert len(store.rows) == 2
     relation.delete_where(lambda row: row[0] == 1)
+    assert relation.column_store() is store  # deletes patch it too
+    assert store.values(2) == ["b"]
+    relation.restore_rows([(3, 3.0, "c")])
     rebuilt = relation.column_store()
-    assert rebuilt is not store  # deletes drop the snapshot
-    assert rebuilt.values(2) == ["b"]
+    assert rebuilt is not store  # a wholesale restore drops it
+    assert rebuilt.values(2) == ["c"]
 
 
 def test_store_unknown_column_names_the_attribute():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.relational import columnar
-from repro.relational.datatypes import INTEGER, REAL, char
+from repro.relational.datatypes import INTEGER, char
 from repro.relational.indexes import HashIndex, SortedIndex
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, RelationSchema
@@ -44,34 +44,33 @@ class TestSortedIndex:
     """A range returns row positions in ascending (table) order."""
 
     def test_range_inclusive(self, rel):
-        index = SortedIndex(rel, "V")
+        index = SortedIndex(rel.column_values("V"))
         assert index.range(3, 7) == [0, 1, 2]  # values 5, 3, 7
 
     def test_range_exclusive(self, rel):
-        index = SortedIndex(rel, "V")
+        index = SortedIndex(rel.column_values("V"))
         assert index.range(3, 7, low_inclusive=False,
                            high_inclusive=False) == [0]  # value 5
 
     def test_open_ended(self, rel):
-        index = SortedIndex(rel, "V")
+        index = SortedIndex(rel.column_values("V"))
         assert index.range(low=5) == [0, 2]  # values 5, 7
         assert index.range(high=3) == [1, 4]  # values 3, 1
 
     def test_nulls_excluded(self, rel):
-        index = SortedIndex(rel, "V")
+        index = SortedIndex(rel.column_values("V"))
         assert len(index) == 4
 
     def test_empty(self):
-        schema = RelationSchema("E", [Column("V", INTEGER)])
-        index = SortedIndex(Relation(schema), "V")
+        index = SortedIndex([])
         assert index.range(0, 10) == []
 
     def test_string_ranges(self, rel):
-        index = SortedIndex(rel, "K")
+        index = SortedIndex(rel.column_values("K"))
         assert index.range("b", "d") == [1, 3, 4]  # "b", "c", "d"
 
     def test_point_is_a_one_value_range(self, rel):
-        index = SortedIndex(rel, "K")
+        index = SortedIndex(rel.column_values("K"))
         assert index.range("a", "a") == [0, 2]
         assert index.range("zz", "zz") == []
 
@@ -94,15 +93,13 @@ def test_ranges_match_a_filter_with_nans(use_numpy):
     returns exactly the positions a row-by-row filter keeps, ascending.
     """
     rng = random.Random(20)
-    schema = RelationSchema("R", [Column("V", REAL)])
     columnar.set_numpy_enabled(use_numpy)
     try:
         for _trial in range(200):
             values = [float(rng.randrange(20)) for _ in range(58)]
             values += [math.nan] * 3 + [None] * 2
             rng.shuffle(values)
-            index = SortedIndex(Relation(schema, [(v,) for v in values]),
-                                "V")
+            index = SortedIndex(values)
             assert len(index) == 58
             for _probe in range(5):
                 low = rng.choice([None, rng.randrange(-1, 21) / 1.0])

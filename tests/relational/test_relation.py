@@ -138,3 +138,21 @@ class TestRender:
     def test_render_max_rows(self, rel):
         text = rel.render(max_rows=2)
         assert "more" in text
+
+    def test_render_formats_only_the_rows_shown(self, monkeypatch):
+        """Widths come from the rows shown, so a 10,000-row relation
+        renders as its first 20 rows plus the ``... N more`` line, and
+        only those 20 rows' cells are formatted."""
+        from repro.relational import relation as module
+        schema = RelationSchema("T", [Column("Name", char(16)),
+                                      Column("N", INTEGER)])
+        rows = [(f"patient-{i:07d}", i) for i in range(10_000)]
+        head = Relation(schema, rows[:20]).render().splitlines()
+        formatted = []
+        display = module._display
+        monkeypatch.setattr(module, "_display", lambda value: (
+            formatted.append(value), display(value))[1])
+        lines = Relation(schema, rows).render(max_rows=20).splitlines()
+        assert lines[:-1] == head
+        assert lines[-1] == "... 9980 more".ljust(15) + " |   "
+        assert len(formatted) <= 20 * schema.arity
